@@ -7,6 +7,7 @@
 // time the contention fabric charges for it.
 
 #include "bench_common.h"
+#include "harness/exchange.h"
 #include "netsim/fabric.h"
 #include "netsim/mapping.h"
 
@@ -56,21 +57,16 @@ int main(int argc, char** argv) {
                                netsim::MapKind::Embed}) {
       harness::Config cfg = base(meth);
       cfg.mapping = mk;
+      // Build the runtime exactly as harness::run will, and read the node
+      // assignment back from its fabric, so the cut column describes the
+      // very placement the comm_ms column was charged for (embed weighs
+      // nodes by the built topology's hop distances — a hintless make_map
+      // here could disagree).
+      const auto rt = harness::make_runtime(cfg);
       const auto graph = harness::exchange_comm_graph(cfg);
-      // Build the fabric exactly as harness::run will, and read the node
-      // assignment back from it, so the cut column describes the very
-      // placement the comm_ms column was charged for (embed weighs nodes
-      // by the built topology's hop distances — a hintless make_map here
-      // could disagree).
-      const mpi::LinkParams inter = cfg.machine.net.inter_node;
-      const auto fab = netsim::make_fabric(
-          cfg.fabric, mk, static_cast<int>(cfg.rank_dims.prod()), rpn,
-          inter.bw, inter.alpha / 2.0, inter.alpha, graph,
-          {static_cast<int>(cfg.rank_dims[0]),
-           static_cast<int>(cfg.rank_dims[1]),
-           static_cast<int>(cfg.rank_dims[2])});
       const auto& nodes =
-          static_cast<const netsim::ContentionFabric&>(*fab).rank_node();
+          static_cast<const netsim::ContentionFabric&>(rt->fabric())
+              .rank_node();
       const harness::Result r = run(cfg);
       t.row()
           .cell(harness::method_name(meth))

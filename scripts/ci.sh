@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: the full tier-1 suite on the default preset, then the
-# fast `unit`-labeled tests again under ASan+UBSan (the sanitizer pass
-# skips slow/fuzz sweeps to keep wall time bounded; run them by hand with
-# `ctest --preset asan-ubsan` when touching the runtime or exchangers).
+# CI entry point: the full tier-1 suite on the default preset, the frozen
+# host-time benchmark's smoke run, then the fast `unit`-labeled tests again
+# under ASan+UBSan (the sanitizer pass skips slow/fuzz sweeps to keep wall
+# time bounded; run them by hand with `ctest --preset asan-ubsan` when
+# touching the runtime or exchangers).
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -15,6 +16,13 @@ cmake --build --preset default -j "$jobs"
 
 echo "=== default preset: full test suite ==="
 ctest --preset default -j "$jobs"
+
+echo "=== frozen benchmark: smoke run ==="
+# benchmark/ builds standalone over ../src (into build-bench/), and its
+# traced replay must reproduce harness::run's message counters and virtual
+# time bit-exactly. A src/ API or timing drift the suite above misses fails
+# here instead of in the host-time comparison between revisions.
+bash benchmark/run.sh --smoke
 
 echo "=== default preset: kernel perf smoke ==="
 # Fast/naive bit-exactness gate for the kernel engine (perf-labeled;

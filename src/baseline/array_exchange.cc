@@ -197,37 +197,27 @@ std::int64_t PackExchanger::send_byte_count() const {
 MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
                                      const std::vector<BitSet>& dirs,
                                      const std::vector<int>& neighbor_ranks,
-                                     const CellArray3& field_shape) {
-  BX_CHECK(dirs.size() == neighbor_ranks.size(),
-           "direction and rank tables disagree");
-  const Box<3>& fb = field_shape.box();
-  const Vec3 sizes = fb.extent();
-  for (std::size_t v = 0; v < dirs.size(); ++v) {
-    NMsg m;
-    m.rank = neighbor_ranks[v];
-    m.send_tag = static_cast<int>(v);
-    m.recv_tag = ordinal_of(dirs, dirs[v].flipped());
-    const Box<3> sb = send_box(dirs[v], domain, ghost);
-    const Box<3> rb = recv_box(dirs[v], domain, ghost);
-    m.stype = mpi::Datatype::subarray<3>(sizes, sb.extent(), sb.lo - fb.lo,
-                                         sizeof(double));
-    m.rtype = mpi::Datatype::subarray<3>(sizes, rb.extent(), rb.lo - fb.lo,
-                                         sizeof(double));
-    msgs_.push_back(std::move(m));
-  }
-}
+                                     const CellArray3& field_shape)
+    : MpiTypesExchanger(domain, ghost, dirs, neighbor_ranks, field_shape.box(),
+                        1) {}
 
 MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
                                      const std::vector<BitSet>& dirs,
                                      const std::vector<int>& neighbor_ranks,
                                      const ArrayFields& fields_shape)
-    : fields_(fields_shape.fields()) {
+    : MpiTypesExchanger(domain, ghost, dirs, neighbor_ranks, fields_shape.box(),
+                        fields_shape.fields()) {}
+
+MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
+                                     const std::vector<BitSet>& dirs,
+                                     const std::vector<int>& neighbor_ranks,
+                                     const Box<3>& fb, int fields)
+    : fields_(fields) {
   BX_CHECK(dirs.size() == neighbor_ranks.size(),
            "direction and rank tables disagree");
-  const Box<3>& fb = fields_shape.box();
   const Vec3 sizes = fb.extent();
   const std::size_t slab_bytes =
-      static_cast<std::size_t>(fields_shape.field_elems()) * sizeof(double);
+      static_cast<std::size_t>(fb.volume()) * sizeof(double);
   for (std::size_t v = 0; v < dirs.size(); ++v) {
     NMsg m;
     m.rank = neighbor_ranks[v];
@@ -236,7 +226,8 @@ MpiTypesExchanger::MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
     const Box<3> sb = send_box(dirs[v], domain, ghost);
     const Box<3> rb = recv_box(dirs[v], domain, ghost);
     // One committed type per side: the per-field subarrays concatenated at
-    // the field-slab displacements (MPI_Type_create_struct).
+    // the field-slab displacements (MPI_Type_create_struct). With one field
+    // the single part's blocks are exactly the bare subarray's.
     std::vector<std::pair<std::size_t, mpi::Datatype>> sparts, rparts;
     for (int f = 0; f < fields_; ++f) {
       const std::size_t disp = static_cast<std::size_t>(f) * slab_bytes;

@@ -43,7 +43,6 @@ class PackExchanger {
   /// per round (the data movement is the point of this baseline), only the
   /// message posting is replayed.
   void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
 
   /// Modeled cost of building the per-neighbor schedule (box derivation +
   /// message init; no datatypes, no views).
@@ -111,7 +110,6 @@ class MpiTypesExchanger {
   /// subsequent start() calls must pass the same field (checked).
   void make_persistent(mpi::Comm& comm, CellArray3& field);
   void make_persistent(mpi::Comm& comm, ArrayFields& fields);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
 
   /// Modeled cost of building the plan: datatype commit dominates (one
   /// entry per contiguous block of the subarray walks), plus message init.
@@ -132,6 +130,11 @@ class MpiTypesExchanger {
   [[nodiscard]] std::int64_t datatype_block_count() const;
 
  private:
+  /// Both public constructors: `fields` slabs over the frame box `frame`.
+  MpiTypesExchanger(const Vec3& domain, std::int64_t ghost,
+                    const std::vector<BitSet>& dirs,
+                    const std::vector<int>& neighbor_ranks,
+                    const Box<3>& frame, int fields);
   void bind_raw(mpi::Comm& comm, double* base);
   void start_raw(mpi::Comm& comm, double* base);
 

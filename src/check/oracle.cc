@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
-#include <sstream>
+#include <memory>
 #include <vector>
 
-#include "baseline/array_exchange.h"
 #include "common/error.h"
 #include "core/cell_array.h"
-#include "core/exchange.h"
-#include "core/exchange_view.h"
 #include "core/layout.h"
+#include "harness/exchange.h"
 #include "netsim/fabric.h"
 #include "simmpi/cart.h"
 #include "simmpi/comm.h"
@@ -20,29 +17,14 @@ namespace brickx::conformance {
 
 namespace {
 
+using harness::Method;
 using mpi::Cart;
 using mpi::Comm;
-using mpi::Runtime;
 
-enum class M { Basic, Layout, MemMap, Pack, Types };
-constexpr M kAllMethods[] = {M::Basic, M::Layout, M::MemMap, M::Pack,
-                             M::Types};
-
-const char* mname(M m) {
-  switch (m) {
-    case M::Basic:
-      return "Basic";
-    case M::Layout:
-      return "Layout";
-    case M::MemMap:
-      return "MemMap";
-    case M::Pack:
-      return "Pack";
-    case M::Types:
-      return "MPI_Types";
-  }
-  return "?";
-}
+/// The five exchange implementations the oracle cross-checks; Basic is the
+/// reference the others must match bitwise.
+constexpr Method kAllMethods[] = {Method::Basic, Method::Layout, Method::MemMap,
+                                  Method::Yask, Method::MpiTypes};
 
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ull;
@@ -73,6 +55,21 @@ std::uint64_t field_seed(std::uint64_t seed, int f) {
                 : mix64(seed ^ (0x8badf00dull + static_cast<std::uint64_t>(f)));
 }
 
+/// The harness job a fuzz config describes (the oracle's network model is
+/// the default NetModel with the drawn node shape).
+harness::Config job_config(const FuzzConfig& cfg) {
+  harness::Config job;
+  job.machine.net = mpi::NetModel{};
+  job.machine.net.ranks_per_node = cfg.ranks_per_node;
+  job.rank_dims = cfg.rank_dims;
+  job.subdomain = cfg.subdomain;
+  job.ghost = cfg.ghost;
+  job.fabric = cfg.fabric;
+  job.mapping = cfg.mapping;
+  job.transport = cfg.transport;
+  return job;
+}
+
 /// Everything one method run produces: the serialized post-exchange ghost
 /// frames (per rank, rounds concatenated), per-rank comm counters and
 /// virtual times, and the exchanger's own accounting from rank 0.
@@ -80,223 +77,121 @@ struct MethodRun {
   std::vector<std::vector<double>> frames;  ///< [rank] round-major frames
   std::vector<mpi::CommCounters> counters;  ///< [rank]
   std::vector<double> vtimes;               ///< [rank]
-  std::int64_t msgs_per_exchange = 0;       ///< sends per round (rank 0)
-  std::int64_t wire_bytes = 0;              ///< bytes sent per round (rank 0)
-  std::int64_t payload_bytes = 0;           ///< useful bytes per round
-  double padding_percent = 0.0;             ///< MemMap only
+  harness::Traffic traffic;                 ///< per round, rank 0
 };
 
-MethodRun run_method(M m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
+/// Run `m` for cfg.rounds exchange rounds on buffer 0 of the storage
+/// harness::make_exchange builds, on the runtime harness::make_runtime
+/// builds — the construction path the benches and the tuner run.
+MethodRun run_method(Method m, const FuzzConfig& cfg, mpi::FaultInjector* fi) {
   const int nranks = cfg.nranks();
-  mpi::NetModel model;
-  model.ranks_per_node = cfg.ranks_per_node;
-  Runtime rt(nranks, model);
-  if (cfg.fabric != netsim::FabricKind::Flat) {
-    const mpi::LinkParams inter = model.inter_node;
-    rt.set_fabric(netsim::make_fabric(cfg.fabric, cfg.mapping, nranks,
-                                      cfg.ranks_per_node, inter.bw,
-                                      inter.alpha / 2.0, inter.alpha, {},
-                                      {static_cast<int>(cfg.rank_dims[0]),
-                                       static_cast<int>(cfg.rank_dims[1]),
-                                       static_cast<int>(cfg.rank_dims[2])}));
-  }
-  if (fi != nullptr) rt.set_fault_injector(fi);
-  rt.set_transport(cfg.transport);
+  const std::unique_ptr<mpi::Runtime> rt =
+      harness::make_runtime(job_config(cfg), fi);
 
   MethodRun out;
   out.frames.resize(static_cast<std::size_t>(nranks));
 
   const Vec3 N = cfg.subdomain;
-  const std::int64_t g = cfg.ghost;
-  const Vec3 G = Vec3::fill(g);
+  const Vec3 G = Vec3::fill(cfg.ghost);
   const Vec3 ext = cfg.rank_dims * N;
-  const Box<3> frame_box{Vec3{0, 0, 0} - G, N + G};
+  const harness::Geometry geo{.subdomain = N,
+                              .ghost = cfg.ghost,
+                              .brick = cfg.brick,
+                              .layout = fuzz_layout(cfg.tuned_layout),
+                              .fields = cfg.fields,
+                              .page_size = cfg.page_size};
+  // The array baselines have no partitioned plan: they replay in bulk.
+  const bool overlap =
+      cfg.overlap && m != Method::Yask && m != Method::MpiTypes;
 
-  rt.run([&](Comm& comm) {
+  rt->run([&](Comm& comm) {
     Cart<3> cart(comm, cfg.rank_dims);
     const Vec3 off = cart.coords() * N;
     auto& frames = out.frames[static_cast<std::size_t>(comm.rank())];
-
-    auto fill_own = [&](CellArray3& arr, int round, int f) {
-      for_each(Box<3>{{0, 0, 0}, N}, [&](const Vec3& p) {
-        arr.at(p) = fill_value(field_seed(cfg.seed, f), round, p + off, ext);
-      });
-    };
-    auto record_frame = [&](const CellArray3& fr) {
-      for_each(fr.box(), [&](const Vec3& p) { frames.push_back(fr.at(p)); });
-    };
-
-    if ((m == M::Pack || m == M::Types) && cfg.fields > 1) {
-      // Multi-field array baselines: one ArrayFields allocation, one
-      // message per neighbor carrying every field slab.
-      ArrayFields field(frame_box, cfg.fields);
-      const auto dirs = Cart<3>::all_directions();
-      std::vector<int> nbrs;
-      nbrs.reserve(dirs.size());
-      for (const auto& d : dirs) nbrs.push_back(cart.neighbor(d));
-      std::optional<baseline::PackExchanger> pack;
-      std::optional<baseline::MpiTypesExchanger> types;
-      if (m == M::Pack)
-        pack.emplace(N, g, dirs, nbrs, cfg.fields);
-      else
-        types.emplace(N, g, dirs, nbrs, field);
-      if (cfg.persistent) {
-        if (pack) pack->make_persistent(comm);
-        if (types) types->make_persistent(comm, field);
-      }
-      for (int round = 0; round < cfg.rounds; ++round) {
-        for (int f = 0; f < cfg.fields; ++f)
-          for_each(Box<3>{{0, 0, 0}, N}, [&](const Vec3& p) {
-            field.at(f, p) =
-                fill_value(field_seed(cfg.seed, f), round, p + off, ext);
-          });
-        if (pack)
-          pack->exchange(comm, field);
-        else
-          types->exchange(comm, field);
-        // Field slabs are frame-ordered (axis 0 fastest), matching
-        // record_frame's for_each order over the frame box.
-        for (int f = 0; f < cfg.fields; ++f)
-          frames.insert(frames.end(), field.field_base(f),
-                        field.field_base(f) + field.field_elems());
-      }
-      if (comm.rank() == 0) {
-        out.msgs_per_exchange =
-            pack ? pack->send_message_count() : types->send_message_count();
-        out.wire_bytes =
-            pack ? pack->send_byte_count() : types->send_byte_count();
-        out.payload_bytes = out.wire_bytes;
-      }
-      return;
-    }
-
-    if (m == M::Pack || m == M::Types) {
-      CellArray3 field(frame_box);
-      for_each(frame_box, [&](const Vec3& p) { field.at(p) = 0.0; });
-      const auto dirs = Cart<3>::all_directions();
-      std::vector<int> nbrs;
-      nbrs.reserve(dirs.size());
-      for (const auto& d : dirs) nbrs.push_back(cart.neighbor(d));
-      std::optional<baseline::PackExchanger> pack;
-      std::optional<baseline::MpiTypesExchanger> types;
-      if (m == M::Pack)
-        pack.emplace(N, g, dirs, nbrs);
-      else
-        types.emplace(N, g, dirs, nbrs, field);
-      if (cfg.persistent) {
-        if (pack) pack->make_persistent(comm);
-        if (types) types->make_persistent(comm, field);
-      }
-      for (int round = 0; round < cfg.rounds; ++round) {
-        fill_own(field, round, 0);
-        if (pack)
-          pack->exchange(comm, field);
-        else
-          types->exchange(comm, field);
-        record_frame(field);
-      }
-      if (comm.rank() == 0) {
-        out.msgs_per_exchange =
-            pack ? pack->send_message_count() : types->send_message_count();
-        out.wire_bytes =
-            pack ? pack->send_byte_count() : types->send_byte_count();
-        out.payload_bytes = out.wire_bytes;
-      }
-      return;
-    }
-
-    BrickDecomp<3> dec(N, g, cfg.brick, fuzz_layout(cfg.tuned_layout));
-    BrickStorage store = m == M::MemMap
-                             ? dec.mmap_alloc(cfg.fields, cfg.page_size)
-                             : dec.allocate(cfg.fields);
-    const auto ranks_tbl = populate(cart, dec);
-    std::optional<Exchanger<3>> ex;
-    std::optional<ExchangeView<3>> ev;
-    if (m == M::MemMap)
-      ev.emplace(dec, store, ranks_tbl);
-    else
-      ex.emplace(dec, store, ranks_tbl,
-                 m == M::Basic ? Exchanger<3>::Mode::Basic
-                               : Exchanger<3>::Mode::Layout);
-    if (cfg.persistent) {
-      // Bound plan handles must also survive a faulted round (the throw
-      // unwinds through the Persistent destructors while in flight).
-      if (ev) ev->make_persistent(comm);
-      if (ex) ex->make_persistent(comm);
-    }
-    if (cfg.overlap) {
-      if (ev) ev->make_partitioned(comm);
-      if (ex) ex->make_partitioned(comm);
-    }
-
-    // The partitioned replay: every send partition readied in flat order,
-    // every receive partition consumed in *reverse* order (deliberately not
-    // the arrival order), then the round closed. Delivered frames must
-    // still be bitwise identical to the bulk path — partition granularity
-    // may only change timing, never data.
-    auto overlap_round = [&](auto& x) {
-      x.part_start();
-      const int ns = static_cast<int>(x.send_parts().size());
-      for (int j = 0; j < ns; ++j) x.part_pready(j);
-      const int nr = static_cast<int>(x.recv_parts().size());
-      for (int j = nr - 1; j >= 0; --j) (void)x.part_arrived(j);
-      x.part_finish();
-    };
+    const std::unique_ptr<harness::Exchange> ex =
+        harness::make_exchange(m, geo, cart);
+    // Bound plan handles must also survive a faulted round (the throw
+    // unwinds through the Persistent destructors while in flight).
+    if (cfg.persistent || overlap) ex->bind(comm, overlap);
 
     CellArray3 own(Box<3>{{0, 0, 0}, N});
-    CellArray3 fr(frame_box);
+    CellArray3 fr(Box<3>{Vec3{0, 0, 0} - G, N + G});
     for (int round = 0; round < cfg.rounds; ++round) {
-      // AoSoA: every field lives inside the same brick chunk, so ONE
-      // exchange per round moves all of them — the message count below is
-      // asserted field-count-invariant by run_oracle.
+      // ONE exchange per round moves every field (AoSoA brick chunks,
+      // field-major array slabs) — the message count is asserted
+      // field-count-invariant by run_oracle.
       for (int f = 0; f < cfg.fields; ++f) {
-        fill_own(own, round, f);
-        cells_to_bricks(dec, own, store, f);
+        for_each(own.box(), [&](const Vec3& p) {
+          own.at(p) = fill_value(field_seed(cfg.seed, f), round, p + off, ext);
+        });
+        ex->write(0, f, own);
       }
-      if (cfg.overlap) {
-        if (ev)
-          overlap_round(*ev);
-        else
-          overlap_round(*ex);
-      } else if (ev) {
-        ev->exchange(comm);
+      if (overlap) {
+        // The partitioned replay: every send partition readied in flat
+        // order, every receive partition consumed in *reverse* order
+        // (deliberately not the arrival order), then the round closed.
+        // Delivered frames must still be bitwise identical to the bulk
+        // path — partition granularity may only change timing, never data.
+        PartitionedSet& parts = ex->parts();
+        parts.start_all();
+        const int ns = static_cast<int>(parts.send_parts().size());
+        for (int j = 0; j < ns; ++j) parts.pready(j);
+        const int nr = static_cast<int>(parts.recv_parts().size());
+        for (int j = nr - 1; j >= 0; --j) (void)parts.arrived(j);
+        parts.finish();
       } else {
-        ex->exchange(comm);
+        ex->pack(0);
+        ex->start(comm, 0);
+        ex->finish(comm, 0);
+        ex->unpack(0);
       }
+      // Frames serialize in for_each order over the frame box (axis 0
+      // fastest), which is CellArray3's storage order.
       for (int f = 0; f < cfg.fields; ++f) {
-        bricks_to_cells(dec, store, f, fr);
-        record_frame(fr);
+        ex->read(0, f, fr);
+        frames.insert(frames.end(), fr.raw().begin(), fr.raw().end());
       }
     }
-    if (comm.rank() == 0) {
-      if (ev) {
-        out.msgs_per_exchange = ev->send_message_count();
-        out.wire_bytes = ev->send_byte_count();
-        out.payload_bytes = ev->payload_byte_count();
-        out.padding_percent = ev->padding_overhead_percent();
-      } else {
-        out.msgs_per_exchange = ex->send_message_count();
-        out.wire_bytes = ex->send_byte_count();
-        out.payload_bytes = ex->send_byte_count();
-      }
-    }
+    if (comm.rank() == 0) out.traffic = ex->traffic();
   });
 
   out.counters.reserve(static_cast<std::size_t>(nranks));
   out.vtimes.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    out.counters.push_back(rt.final_counters(r));
-    out.vtimes.push_back(rt.final_vtime(r));
+    out.counters.push_back(rt->final_counters(r));
+    out.vtimes.push_back(rt->final_vtime(r));
   }
   return out;
 }
 
-/// The portion of each recorded frame that is ghost cells (the own block
-/// is locally produced and bitwise-trivially equal — still compared, but a
-/// mismatch there means the serializer, not the exchange, broke).
-std::int64_t frame_cells(const FuzzConfig& cfg) {
-  const Vec3 full = cfg.subdomain + Vec3::fill(2 * cfg.ghost);
-  return full.prod();
+bool bitwise_equal(const std::vector<double>& a,
+                   const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Report through `fail` the first rank whose delivered frames differ
+/// between `ref` and `got`, and every rank whose send/receive totals do
+/// (with `split`, also its intra/inter message split). `what` names the
+/// two settings of the lever that was varied.
+template <typename Fail>
+void expect_same_delivery(const MethodRun& ref, const MethodRun& got,
+                          bool split, const std::string& what, Fail&& fail) {
+  for (std::size_t r = 0; r < ref.frames.size(); ++r) {
+    if (!bitwise_equal(got.frames[r], ref.frames[r])) {
+      fail("delivered frames differ between " + what + " at rank " +
+           std::to_string(r));
+      return;
+    }
+    const mpi::CommCounters& a = ref.counters[r];
+    const mpi::CommCounters& b = got.counters[r];
+    if (a.msgs_sent != b.msgs_sent || a.bytes_sent != b.bytes_sent ||
+        a.msgs_recv != b.msgs_recv || a.bytes_recv != b.bytes_recv ||
+        (split &&
+         (a.msgs_intra != b.msgs_intra || a.msgs_inter != b.msgs_inter)))
+      fail("comm counters differ between " + what + " at rank " +
+           std::to_string(r));
+  }
 }
 
 }  // namespace
@@ -310,19 +205,22 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
     }
   };
 
+  auto name = [](std::size_t i) {
+    return std::string(harness::method_name(kAllMethods[i]));
+  };
   std::vector<MethodRun> runs;
   runs.reserve(std::size(kAllMethods));
-  for (M m : kAllMethods) runs.push_back(run_method(m, cfg, nullptr));
+  for (Method m : kAllMethods) runs.push_back(run_method(m, cfg, nullptr));
   rep.methods_compared = static_cast<int>(runs.size());
 
   const MethodRun& basic = runs[0];
   const MethodRun& layout = runs[1];
   const MethodRun& memmap = runs[2];
-  rep.basic_msgs = basic.msgs_per_exchange;
-  rep.layout_msgs = layout.msgs_per_exchange;
-  rep.memmap_msgs = memmap.msgs_per_exchange;
-  rep.payload_bytes = layout.payload_bytes;
-  rep.memmap_wire_bytes = memmap.wire_bytes;
+  rep.basic_msgs = basic.traffic.msgs;
+  rep.layout_msgs = layout.traffic.msgs;
+  rep.memmap_msgs = memmap.traffic.msgs;
+  rep.payload_bytes = layout.traffic.payload;
+  rep.memmap_wire_bytes = memmap.traffic.wire;
 
   // --- message-count structure (paper Table 1 / Eq. 1) ---------------------
   // The exact 98 / 42 / 26 counts require every surface region non-empty,
@@ -334,29 +232,29 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
   for (int a = 0; a < 3; ++a)
     full_regions = full_regions && cfg.subdomain[a] > 2 * cfg.ghost;
   if (full_regions) {
-    if (basic.msgs_per_exchange != basic_message_count(3))
-      fail("Basic sends " + std::to_string(basic.msgs_per_exchange) +
+    if (basic.traffic.msgs != basic_message_count(3))
+      fail("Basic sends " + std::to_string(basic.traffic.msgs) +
            " messages per rank, expected " +
            std::to_string(basic_message_count(3)));
     const LayoutSpec lay = fuzz_layout(cfg.tuned_layout);
-    if (layout.msgs_per_exchange != message_count(lay, 3))
-      fail("Layout sends " + std::to_string(layout.msgs_per_exchange) +
+    if (layout.traffic.msgs != message_count(lay, 3))
+      fail("Layout sends " + std::to_string(layout.traffic.msgs) +
            " messages per rank, expected " +
            std::to_string(message_count(lay, 3)));
-    if (layout.msgs_per_exchange < layout_message_lower_bound(3))
+    if (layout.traffic.msgs < layout_message_lower_bound(3))
       fail("Layout beats the Eq. 1 lower bound — the count model is broken");
-  } else if (basic.msgs_per_exchange > basic_message_count(3)) {
+  } else if (basic.traffic.msgs > basic_message_count(3)) {
     fail("Basic exceeds the 98-message ceiling with empty regions");
   }
-  if (memmap.msgs_per_exchange != (27 - 1))
-    fail("MemMap sends " + std::to_string(memmap.msgs_per_exchange) +
+  if (memmap.traffic.msgs != (27 - 1))
+    fail("MemMap sends " + std::to_string(memmap.traffic.msgs) +
          " messages per rank, expected 26");
-  if (!(memmap.msgs_per_exchange <= layout.msgs_per_exchange &&
-        layout.msgs_per_exchange <= basic.msgs_per_exchange))
+  if (!(memmap.traffic.msgs <= layout.traffic.msgs &&
+        layout.traffic.msgs <= basic.traffic.msgs))
     fail("message-count ordering memmap <= layout <= basic violated");
   for (const MethodRun& r : {runs[3], runs[4]})
-    if (r.msgs_per_exchange != 26)
-      fail("array baseline sends " + std::to_string(r.msgs_per_exchange) +
+    if (r.traffic.msgs != 26)
+      fail("array baseline sends " + std::to_string(r.traffic.msgs) +
            " messages per rank, expected 26");
 
   // --- payload accounting --------------------------------------------------
@@ -367,29 +265,29 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
   const std::int64_t expect_payload =
       ghost_cells * static_cast<std::int64_t>(sizeof(double)) * cfg.fields;
   for (std::size_t i = 0; i < runs.size(); ++i)
-    if (runs[i].payload_bytes != expect_payload)
-      fail(std::string(mname(kAllMethods[i])) + " moves " +
-           std::to_string(runs[i].payload_bytes) +
+    if (runs[i].traffic.payload != expect_payload)
+      fail(name(i) + " moves " +
+           std::to_string(runs[i].traffic.payload) +
            " payload bytes per exchange, expected ghost-frame volume " +
            std::to_string(expect_payload));
   // Unpadded methods put exactly the payload on the wire.
   for (std::size_t i = 0; i < runs.size(); ++i)
-    if (kAllMethods[i] != M::MemMap &&
-        runs[i].wire_bytes != runs[i].payload_bytes)
-      fail(std::string(mname(kAllMethods[i])) + " wire bytes != payload");
+    if (kAllMethods[i] != Method::MemMap &&
+        runs[i].traffic.wire != runs[i].traffic.payload)
+      fail(name(i) + " wire bytes != payload");
   // MemMap pads views to page boundaries: wire >= payload, and the padding
   // percentage must satisfy Table 2's formula.
-  if (memmap.wire_bytes < memmap.payload_bytes)
+  if (memmap.traffic.wire < memmap.traffic.payload)
     fail("MemMap wire bytes below payload — padding accounting corrupt");
   {
     const double expect_pct =
-        memmap.payload_bytes == 0
+        memmap.traffic.payload == 0
             ? 0.0
             : 100.0 *
-                  static_cast<double>(memmap.wire_bytes -
-                                      memmap.payload_bytes) /
-                  static_cast<double>(memmap.payload_bytes);
-    const double got = memmap.padding_percent;
+                  static_cast<double>(memmap.traffic.wire -
+                                      memmap.traffic.payload) /
+                  static_cast<double>(memmap.traffic.payload);
+    const double got = memmap.traffic.padding;
     if (got < expect_pct - 1e-9 || got > expect_pct + 1e-9)
       fail("MemMap padding percent " + std::to_string(got) +
            " disagrees with (wire - payload) / payload = " +
@@ -406,30 +304,33 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
       br += c.bytes_recv;
     }
     if (ms != mr)
-      fail(std::string(mname(kAllMethods[i])) + ": global msgs_sent " +
+      fail(name(i) + ": global msgs_sent " +
            std::to_string(ms) + " != msgs_recv " + std::to_string(mr));
     if (bs != br)
-      fail(std::string(mname(kAllMethods[i])) + ": global bytes_sent " +
+      fail(name(i) + ": global bytes_sent " +
            std::to_string(bs) + " != bytes_recv " + std::to_string(br));
     // Rank 0's counter must agree with the exchanger's own plan accounting
     // (ties the obs layer to the geometry layer).
     const auto& c0 = runs[i].counters[0];
     const std::int64_t rounds = cfg.rounds;
-    if (c0.msgs_sent != rounds * runs[i].msgs_per_exchange)
-      fail(std::string(mname(kAllMethods[i])) + ": rank-0 msgs_sent " +
+    if (c0.msgs_sent != rounds * runs[i].traffic.msgs)
+      fail(name(i) + ": rank-0 msgs_sent " +
            std::to_string(c0.msgs_sent) + " != rounds * plan count " +
-           std::to_string(rounds * runs[i].msgs_per_exchange));
-    if (c0.bytes_sent != rounds * runs[i].wire_bytes)
-      fail(std::string(mname(kAllMethods[i])) + ": rank-0 bytes_sent " +
+           std::to_string(rounds * runs[i].traffic.msgs));
+    if (c0.bytes_sent != rounds * runs[i].traffic.wire)
+      fail(name(i) + ": rank-0 bytes_sent " +
            std::to_string(c0.bytes_sent) + " != rounds * plan bytes " +
-           std::to_string(rounds * runs[i].wire_bytes));
+           std::to_string(rounds * runs[i].traffic.wire));
   }
 
   // --- bit-identical post-exchange frames ----------------------------------
-  const std::size_t want = static_cast<std::size_t>(frame_cells(cfg)) *
+  // Whole frames are recorded: the own block is locally produced and
+  // bitwise-trivially equal — still compared, but a mismatch there means
+  // the serializer, not the exchange, broke.
+  const Vec3 G = Vec3::fill(cfg.ghost);
+  const std::size_t want = static_cast<std::size_t>((N + G + G).prod()) *
                            static_cast<std::size_t>(cfg.rounds) *
                            static_cast<std::size_t>(cfg.fields);
-  const Vec3 G = Vec3::fill(cfg.ghost);
   const Vec3 ext = cfg.rank_dims * N;
   for (int r = 0; r < cfg.nranks(); ++r) {
     const auto& ref = runs[0].frames[static_cast<std::size_t>(r)];
@@ -460,14 +361,12 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
     }
     for (std::size_t i = 1; i < runs.size(); ++i) {
       const auto& got = runs[i].frames[static_cast<std::size_t>(r)];
-      if (got.size() != ref.size() ||
-          std::memcmp(got.data(), ref.data(),
-                      ref.size() * sizeof(double)) != 0) {
+      if (!bitwise_equal(got, ref)) {
         std::size_t first = 0;
         while (first < got.size() && first < ref.size() &&
                got[first] == ref[first])
           ++first;
-        fail(std::string(mname(kAllMethods[i])) +
+        fail(name(i) +
              " frame differs from Basic at rank " + std::to_string(r) +
              ", flat cell " + std::to_string(first));
       }
@@ -482,26 +381,8 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
   if (cfg.overlap) {
     FuzzConfig bulk_cfg = cfg;
     bulk_cfg.overlap = false;
-    const MethodRun bulk_run = run_method(M::Layout, bulk_cfg, nullptr);
-    for (int r = 0; r < cfg.nranks(); ++r) {
-      const auto& ref = layout.frames[static_cast<std::size_t>(r)];
-      const auto& got = bulk_run.frames[static_cast<std::size_t>(r)];
-      if (got.size() != ref.size() ||
-          std::memcmp(got.data(), ref.data(),
-                      ref.size() * sizeof(double)) != 0) {
-        fail("delivered frames differ between partitioned and bulk replay "
-             "at rank " + std::to_string(r));
-        break;
-      }
-      const mpi::CommCounters& a =
-          layout.counters[static_cast<std::size_t>(r)];
-      const mpi::CommCounters& b =
-          bulk_run.counters[static_cast<std::size_t>(r)];
-      if (a.msgs_sent != b.msgs_sent || a.bytes_sent != b.bytes_sent ||
-          a.msgs_recv != b.msgs_recv || a.bytes_recv != b.bytes_recv)
-        fail("comm counters differ between partitioned and bulk replay at "
-             "rank " + std::to_string(r));
-    }
+    expect_same_delivery(layout, run_method(Method::Layout, bulk_cfg, nullptr),
+                         false, "partitioned and bulk replay", fail);
   }
 
   // --- transport invariance ------------------------------------------------
@@ -517,27 +398,12 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
       if (k == cfg.transport) continue;
       FuzzConfig alt = cfg;
       alt.transport = k;
-      const MethodRun other = run_method(M::Basic, alt, nullptr);
-      for (int r = 0; r < cfg.nranks(); ++r) {
-        const auto& ref = basic.frames[static_cast<std::size_t>(r)];
-        const auto& got = other.frames[static_cast<std::size_t>(r)];
-        if (got.size() != ref.size() ||
-            std::memcmp(got.data(), ref.data(),
-                        ref.size() * sizeof(double)) != 0) {
-          fail(std::string("delivered frames differ between transport=") +
-               transport::kind_name(cfg.transport) + " and transport=" +
-               transport::kind_name(k) + " at rank " + std::to_string(r));
-          break;
-        }
-        const mpi::CommCounters& a = basic.counters[static_cast<std::size_t>(r)];
-        const mpi::CommCounters& b = other.counters[static_cast<std::size_t>(r)];
-        if (a.msgs_sent != b.msgs_sent || a.bytes_sent != b.bytes_sent ||
-            a.msgs_recv != b.msgs_recv || a.bytes_recv != b.bytes_recv ||
-            a.msgs_intra != b.msgs_intra || a.msgs_inter != b.msgs_inter)
-          fail(std::string("comm counters differ between transport=") +
-               transport::kind_name(cfg.transport) + " and transport=" +
-               transport::kind_name(k) + " at rank " + std::to_string(r));
-      }
+      expect_same_delivery(basic, run_method(Method::Basic, alt, nullptr),
+                           true,
+                           std::string("transport=") +
+                               transport::kind_name(cfg.transport) +
+                               " and transport=" + transport::kind_name(k),
+                           fail);
     }
   }
 
@@ -556,28 +422,12 @@ OracleReport run_oracle(const FuzzConfig& cfg) {
       if (k == cfg.mapping) continue;
       FuzzConfig alt = cfg;
       alt.mapping = k;
-      const MethodRun other = run_method(M::Layout, alt, nullptr);
-      for (int r = 0; r < cfg.nranks(); ++r) {
-        const auto& ref = layout.frames[static_cast<std::size_t>(r)];
-        const auto& got = other.frames[static_cast<std::size_t>(r)];
-        if (got.size() != ref.size() ||
-            std::memcmp(got.data(), ref.data(),
-                        ref.size() * sizeof(double)) != 0) {
-          fail(std::string("delivered frames differ between mapping=") +
-               netsim::map_name(cfg.mapping) + " and mapping=" +
-               netsim::map_name(k) + " at rank " + std::to_string(r));
-          break;
-        }
-        const mpi::CommCounters& a =
-            layout.counters[static_cast<std::size_t>(r)];
-        const mpi::CommCounters& b =
-            other.counters[static_cast<std::size_t>(r)];
-        if (a.msgs_sent != b.msgs_sent || a.bytes_sent != b.bytes_sent ||
-            a.msgs_recv != b.msgs_recv || a.bytes_recv != b.bytes_recv)
-          fail(std::string("comm totals differ between mapping=") +
-               netsim::map_name(cfg.mapping) + " and mapping=" +
-               netsim::map_name(k) + " at rank " + std::to_string(r));
-      }
+      expect_same_delivery(layout, run_method(Method::Layout, alt, nullptr),
+                           false,
+                           std::string("mapping=") +
+                               netsim::map_name(cfg.mapping) + " and mapping=" +
+                               netsim::map_name(k),
+                           fail);
     }
   }
   return rep;
@@ -594,12 +444,12 @@ FaultOracleReport run_fault_oracle(const FuzzConfig& cfg,
     }
   };
 
-  const MethodRun ref = run_method(M::Layout, cfg, nullptr);
+  const MethodRun ref = run_method(Method::Layout, cfg, nullptr);
   mpi::FaultInjector fi(spec);
   bool completed = false;
   MethodRun faulty;
   try {
-    faulty = run_method(M::Layout, cfg, &fi);
+    faulty = run_method(Method::Layout, cfg, &fi);
     completed = true;
   } catch (const brickx::Error& e) {
     rep.error_raised = true;

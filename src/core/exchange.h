@@ -44,7 +44,6 @@ class Exchanger {
   /// Persistent::start/wait. Call at most once, before any exchange round
   /// is in flight.
   void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
 
   /// Bind the frozen plan to *partitioned* requests (MPI 4.0 psend/precv
   /// style): every wire becomes one partitioned request with one partition
@@ -54,11 +53,11 @@ class Exchanger {
   /// Mutually exclusive with make_persistent; call before any round is in
   /// flight.
   void make_partitioned(mpi::Comm& comm);
-  [[nodiscard]] bool partitioned() const { return part_.bound(); }
 
   /// Partitioned-round operations (valid only after make_partitioned).
   /// Partitions are addressed by flattened index into send_parts() /
   /// recv_parts(); each PartSpec names the region ordinal it carries.
+  [[nodiscard]] PartitionedSet& parts() { return part_; }
   [[nodiscard]] const std::vector<PartSpec>& send_parts() const {
     return part_.send_parts();
   }
@@ -80,8 +79,7 @@ class Exchanger {
     finish(comm);
   }
 
-  /// The frozen schedule and the modeled cost of building it.
-  [[nodiscard]] const ExchangePlan& plan() const { return plan_; }
+  /// The modeled cost of building the frozen schedule.
   [[nodiscard]] PlanCost setup_cost() const { return plan_.cost; }
 
   /// Messages sent per exchange by this rank (Fig. 4 / Table 1 accounting).
@@ -128,7 +126,6 @@ class NetworkFloorExchanger {
 
   /// Bind the per-neighbor scratch wires to persistent requests.
   void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
 
   void start(mpi::Comm& comm);
   void finish(mpi::Comm& comm);
@@ -137,7 +134,6 @@ class NetworkFloorExchanger {
     finish(comm);
   }
 
-  [[nodiscard]] const ExchangePlan& plan() const { return plan_; }
   [[nodiscard]] PlanCost setup_cost() const { return plan_.cost; }
 
   [[nodiscard]] std::int64_t send_message_count() const {

@@ -76,9 +76,6 @@ class PersistentSet {
   /// True once a plan has been bound (even one with zero messages — a
   /// single-rank exchange replays as a no-op rather than falling back).
   [[nodiscard]] bool bound() const { return bound_; }
-  [[nodiscard]] std::int64_t size() const {
-    return static_cast<std::int64_t>(recvs_.size() + sends_.size());
-  }
 
   void add_recv(mpi::Persistent p) {
     recvs_.push_back(std::move(p));
@@ -98,12 +95,6 @@ class PersistentSet {
   void wait_all() {
     for (auto& p : recvs_) p.wait();
     for (auto& p : sends_) p.wait();
-  }
-
-  void reset() {
-    recvs_.clear();
-    sends_.clear();
-    bound_ = false;
   }
 
  private:
@@ -186,14 +177,6 @@ class PartitionedSet {
   void finish() {
     for (auto& p : recvs_) p.wait();
     for (auto& p : sends_) p.wait();
-  }
-
-  void reset() {
-    recvs_.clear();
-    sends_.clear();
-    send_parts_.clear();
-    recv_parts_.clear();
-    bound_ = false;
   }
 
  private:

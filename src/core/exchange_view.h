@@ -27,15 +27,15 @@ class ExchangeView {
   /// Bind every view wire to a persistent request; later rounds replay via
   /// Persistent::start/wait on the resolved view spans.
   void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return pset_.bound(); }
 
   /// Bind every view wire to a *partitioned* request with one partition per
   /// padded region chunk in the view (surface chunks on the send side,
   /// ghost chunks on the receive side), for the dependency scheduler.
   /// Mutually exclusive with make_persistent.
   void make_partitioned(mpi::Comm& comm);
-  [[nodiscard]] bool partitioned() const { return part_.bound(); }
 
+  /// Partitioned-round operations (valid only after make_partitioned).
+  [[nodiscard]] PartitionedSet& parts() { return part_; }
   [[nodiscard]] const std::vector<PartSpec>& send_parts() const {
     return part_.send_parts();
   }

@@ -37,7 +37,6 @@ class ShiftExchanger {
   /// Bind every phase's wires to persistent requests (one set per phase;
   /// the inter-phase waits are unchanged).
   void make_persistent(mpi::Comm& comm);
-  [[nodiscard]] bool persistent() const { return psets_[0].bound(); }
 
   /// Run all D phases; each phase completes (waits) before the next posts,
   /// which is the synchronization Shift trades for its low message count.

@@ -83,8 +83,8 @@ struct SpanEvent {
   double t1 = 0.0;
 };
 
-/// One point-to-point message, recorded sender-side (subsumes the old
-/// simmpi MsgEvent trace). Exported as flow arrows in Chrome traces.
+/// One point-to-point message, recorded sender-side. Exported as flow
+/// arrows in Chrome traces.
 struct FlowEvent {
   int src;
   int dst;

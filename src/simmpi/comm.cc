@@ -1,7 +1,6 @@
 #include "simmpi/comm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -15,12 +14,6 @@
 #include "transport/aggregate.h"
 
 namespace brickx::mpi {
-
-namespace {
-// Job-wide abort flag: when one rank throws, waiting ranks must not block
-// forever on matches that will never arrive.
-std::atomic<bool> g_abort{false};
-}  // namespace
 
 struct Request::State {
   enum class Kind { Send, Recv } kind;
@@ -933,9 +926,9 @@ std::vector<double> Comm::allgather(double v) {
       rt_->coll_cv_.notify_all();
     } else {
       rt_->coll_cv_.wait(lk, [&] {
-        return rt_->coll_generation_ != gen || g_abort.load();
+        return rt_->coll_generation_ != gen || rt_->abort_.load();
       });
-      if (g_abort.load() && rt_->coll_generation_ == gen)
+      if (rt_->abort_.load() && rt_->coll_generation_ == gen)
         throw AbortedError("collective aborted: another rank failed");
     }
     return rt_->coll_snapshot_;
@@ -1159,7 +1152,7 @@ void Runtime::drain_pending_flows(int rank) {
 }
 
 void Runtime::run(const std::function<void(Comm&)>& body) {
-  g_abort.store(false);
+  abort_.store(false);
   fabric_->reset();
   transport_run_begin();
   std::vector<std::thread> threads;
@@ -1184,7 +1177,7 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
         transport_finalize(r);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
-        g_abort.store(true);
+        abort_.store(true);
         for (auto& mb : mailboxes_) {
           std::lock_guard lk(mb->mu);
           mb->cv.notify_all();
@@ -1201,10 +1194,10 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
   for (auto& t : threads) t.join();
   // Sub-flow records sealed after their sender's last commit point are
   // still parked; append them now that the logs have no writers.
-  if (agg_ != nullptr && !g_abort.load())
+  if (agg_ != nullptr && !abort_.load())
     for (int r = 0; r < nranks_; ++r) drain_pending_flows(r);
   // Leftover state from an aborted job must not leak into the next run().
-  if (g_abort.load()) {
+  if (abort_.load()) {
     for (auto& mb : mailboxes_) {
       std::lock_guard lk(mb->mu);
       mb->queue.clear();
@@ -1258,43 +1251,10 @@ Envelope Runtime::match(int self, int src, int tag, int part) {
         return env;
       }
     }
-    if (g_abort.load())
+    if (abort_.load())
       throw AbortedError("receive aborted: another rank failed");
     mb.cv.wait(lk);
   }
-}
-
-void Runtime::enable_trace(bool on) {
-  if (on) {
-    if (!owned_trace_)
-      owned_trace_ = std::make_unique<obs::Collector>(nranks_);
-    collector_ = owned_trace_.get();
-  } else if (collector_ == owned_trace_.get()) {
-    collector_ = nullptr;
-  }
-}
-
-std::vector<MsgEvent> Runtime::trace() const {
-  std::vector<MsgEvent> t;
-  if (collector_ != nullptr) {
-    for (int r = 0; r < nranks_; ++r)
-      for (const obs::FlowEvent& f : collector_->log(r).flows())
-        t.push_back(MsgEvent{f.src, f.dst, f.tag,
-                             static_cast<std::size_t>(f.bytes), f.depart,
-                             f.arrive});
-  }
-  std::sort(t.begin(), t.end(), [](const MsgEvent& a, const MsgEvent& b) {
-    if (a.departure != b.departure) return a.departure < b.departure;
-    if (a.src != b.src) return a.src < b.src;
-    if (a.dst != b.dst) return a.dst < b.dst;
-    return a.tag < b.tag;
-  });
-  return t;
-}
-
-void Runtime::clear_trace() {
-  if (collector_ == nullptr) return;
-  for (int r = 0; r < nranks_; ++r) collector_->log(r).clear_flows();
 }
 
 double Runtime::final_vtime(int rank) const {

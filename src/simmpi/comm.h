@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -379,17 +380,6 @@ struct MemHooks {
       touch;
 };
 
-/// One recorded point-to-point message (legacy view of the obs flow trace;
-/// see Runtime::enable_trace). Times are virtual seconds.
-struct MsgEvent {
-  int src;
-  int dst;
-  int tag;
-  std::size_t bytes;
-  double departure;  ///< sender NIC finished injecting
-  double arrival;    ///< receiver-visible arrival of the last byte
-};
-
 /// Owns the rank threads, mailboxes and shared model. One Runtime per
 /// simulated job.
 class Runtime {
@@ -445,14 +435,6 @@ class Runtime {
   /// covers; the caller keeps ownership and reads counts() afterwards.
   void set_fault_injector(FaultInjector* fi) { fault_ = fi; }
   [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }
-
-  /// Legacy trace API, now a shim over the obs flow log: enables an
-  /// internally owned Collector. Off by default.
-  void enable_trace(bool on = true);
-  /// Recorded messages in sender-departure order (stable across runs —
-  /// the virtual clock is deterministic).
-  [[nodiscard]] std::vector<MsgEvent> trace() const;
-  void clear_trace();
 
   /// Per-rank results collected after run(): final virtual time and
   /// counters of rank r.
@@ -512,8 +494,12 @@ class Runtime {
   std::vector<double> final_vtimes_;
   std::vector<CommCounters> final_counters_;
 
+  /// Set when one of this job's ranks throws, so its other ranks stop
+  /// waiting on matches and collectives that will never complete; per
+  /// runtime, so it never aborts another job in the same process.
+  std::atomic<bool> abort_{false};
+
   obs::Collector* collector_ = nullptr;
-  std::unique_ptr<obs::Collector> owned_trace_;  ///< backs enable_trace()
   FaultInjector* fault_ = nullptr;
 
   transport::Kind transport_ = transport::Kind::Flat;

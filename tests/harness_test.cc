@@ -153,6 +153,36 @@ TEST(Harness, InvalidConfigsRejected) {
   cfg3.machine = model::summit();
   cfg3.gpu = GpuMode::Unified;  // YASK is CPU-only
   EXPECT_THROW((void)run(cfg3), Error);
+
+  Config cfg4 = small_config(Method::Layout, false);
+  cfg4.timesteps = -3;
+  EXPECT_THROW((void)run(cfg4), Error);
+
+  Config cfg5 = small_config(Method::Layout, false);
+  cfg5.warmup_exchanges = -1;
+  EXPECT_THROW((void)run(cfg5), Error);
+}
+
+TEST(Harness, ZeroTimestepsReportZeroPerStepPhases) {
+  // Set-up timing runs measure no step: every per-step figure is zero (not
+  // the NaN/inf of dividing by zero steps), and the plan setup still runs.
+  for (Method m : {Method::Yask, Method::Layout, Method::MemMap}) {
+    Config cfg = small_config(m, false);
+    cfg.timesteps = 0;
+    cfg.warmup_exchanges = 0;
+    const Result r = run(cfg);
+    for (const Stats* s : {&r.calc, &r.pack, &r.call, &r.wait}) {
+      EXPECT_EQ(s->min(), 0.0) << method_name(m);
+      EXPECT_EQ(s->max(), 0.0) << method_name(m);
+    }
+    EXPECT_EQ(r.calc_per_step, 0.0) << method_name(m);
+    EXPECT_EQ(r.comm_per_step, 0.0) << method_name(m);
+    EXPECT_EQ(r.replan_per_step, 0.0) << method_name(m);
+    EXPECT_EQ(r.gstencils, 0.0) << method_name(m);
+    EXPECT_EQ(r.total_seconds, 0.0) << method_name(m);
+    EXPECT_GT(r.setup_seconds, 0.0) << method_name(m);
+    EXPECT_TRUE(r.validated) << method_name(m);
+  }
 }
 
 TEST(Harness, UnifiedMemoryPenalizesUnalignedLayoutCompute) {

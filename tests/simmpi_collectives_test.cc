@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <exception>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "simmpi/comm.h"
@@ -72,6 +75,37 @@ TEST(Collectives, RuntimeReusableAcrossRuns) {
     });
   }
   EXPECT_EQ(total.load(), 3 * 3);
+}
+
+TEST(Collectives, FailureInOneRuntimeDoesNotAbortAnother) {
+  // Two jobs in one process (the tuner runs harness::run on a worker pool).
+  // B is mid-run when A's rank throws; B's ranks then enter a barrier,
+  // which must complete rather than see A's abort.
+  Runtime a(2, NetModel{});
+  Runtime b(2, NetModel{});
+  std::latch b_running(2);
+  std::latch a_failed(1);
+  std::exception_ptr b_error;
+  std::thread tb([&] {
+    try {
+      b.run([&](Comm& c) {
+        b_running.count_down();
+        a_failed.wait();
+        c.barrier();
+      });
+    } catch (...) {
+      b_error = std::current_exception();
+    }
+  });
+  b_running.wait();
+  EXPECT_THROW(a.run([](Comm& c) {
+                 if (c.rank() == 0) throw brickx::Error("rank 0 failed");
+                 c.barrier();
+               }),
+               brickx::Error);
+  a_failed.count_down();
+  tb.join();
+  EXPECT_FALSE(b_error) << "runtime B was aborted by runtime A's failure";
 }
 
 }  // namespace

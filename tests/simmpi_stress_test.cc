@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -209,17 +210,35 @@ TEST(Stress, ManySmallRuntimes) {
 }  // namespace
 }  // namespace brickx::mpi
 
-// The legacy enable_trace/trace view is backed by the obs flow log, so it
-// only exists in BRICKX_OBS builds; the null-sink build records nothing.
+// Message traces come from an explicitly installed obs::Collector, so they
+// only exist in BRICKX_OBS builds; the null-sink build records nothing.
 #if BRICKX_OBS
 
 namespace brickx::mpi {
 namespace {
 
+/// Every rank's recorded flows, in sender-departure order (ties broken by
+/// src, dst, tag) — stable across runs, since the virtual clock is
+/// deterministic.
+std::vector<obs::FlowEvent> all_flows(const obs::Collector& col, int nranks) {
+  std::vector<obs::FlowEvent> t;
+  for (int r = 0; r < nranks; ++r)
+    t.insert(t.end(), col.log(r).flows().begin(), col.log(r).flows().end());
+  std::sort(t.begin(), t.end(),
+            [](const obs::FlowEvent& a, const obs::FlowEvent& b) {
+              if (a.depart != b.depart) return a.depart < b.depart;
+              if (a.src != b.src) return a.src < b.src;
+              if (a.dst != b.dst) return a.dst < b.dst;
+              return a.tag < b.tag;
+            });
+  return t;
+}
+
 TEST(Trace, RecordsEveryMessageDeterministically) {
   auto once = [] {
     Runtime rt(4, NetModel{});
-    rt.enable_trace();
+    obs::Collector col(4);
+    rt.set_collector(&col);
     rt.run([](Comm& c) {
       const int to = (c.rank() + 1) % c.size();
       const int from = (c.rank() + c.size() - 1) % c.size();
@@ -231,41 +250,40 @@ TEST(Trace, RecordsEveryMessageDeterministically) {
         c.wait(s);
       }
     });
-    return rt.trace();
+    return all_flows(col, 4);
   };
   const auto a = once();
   const auto b = once();
   ASSERT_EQ(a.size(), 4u * 5);
   for (const auto& e : a) {
     EXPECT_EQ(e.bytes, sizeof(double));
-    EXPECT_GT(e.arrival, e.departure);
+    EXPECT_GT(e.arrive, e.depart);
   }
   // Deterministic: identical programs record identical timelines.
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].src, b[i].src);
-    EXPECT_EQ(a[i].departure, b[i].departure);
-    EXPECT_EQ(a[i].arrival, b[i].arrival);
+    EXPECT_EQ(a[i].depart, b[i].depart);
+    EXPECT_EQ(a[i].arrive, b[i].arrive);
   }
 }
 
 TEST(Trace, OffByDefaultAndClearable) {
+  auto one_message = [](Comm& c) {
+    int x = 0;
+    if (c.rank() == 0) c.send(&x, sizeof x, 1, 0);
+    if (c.rank() == 1) c.recv(&x, sizeof x, 0, 0);
+  };
   Runtime rt(2, NetModel{});
-  rt.run([](Comm& c) {
-    int x = 0;
-    if (c.rank() == 0) c.send(&x, sizeof x, 1, 0);
-    if (c.rank() == 1) c.recv(&x, sizeof x, 0, 0);
-  });
-  EXPECT_TRUE(rt.trace().empty());
-  rt.enable_trace();
-  rt.run([](Comm& c) {
-    int x = 0;
-    if (c.rank() == 0) c.send(&x, sizeof x, 1, 0);
-    if (c.rank() == 1) c.recv(&x, sizeof x, 0, 0);
-  });
-  EXPECT_EQ(rt.trace().size(), 1u);
-  rt.clear_trace();
-  EXPECT_TRUE(rt.trace().empty());
+  obs::Collector col(2);
+  EXPECT_EQ(rt.collector(), nullptr);
+  rt.run(one_message);
+  EXPECT_TRUE(all_flows(col, 2).empty());
+  rt.set_collector(&col);
+  rt.run(one_message);
+  EXPECT_EQ(all_flows(col, 2).size(), 1u);
+  for (int r = 0; r < 2; ++r) col.log(r).clear_flows();
+  EXPECT_TRUE(all_flows(col, 2).empty());
 }
 
 }  // namespace
