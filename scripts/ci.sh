@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: the full tier-1 suite on the default preset, the frozen
 # host-time benchmark's smoke run, then the fast `unit`-labeled tests again
-# under ASan+UBSan (the sanitizer pass skips slow/fuzz sweeps to keep wall
-# time bounded; run them by hand with `ctest --preset asan-ubsan` when
-# touching the runtime or exchangers).
+# under ASan+UBSan and under TSan (the sanitizer passes skip slow/fuzz
+# sweeps to keep wall time bounded; run them by hand with
+# `ctest --preset asan-ubsan` / `--preset tsan` when touching the runtime
+# or exchangers).
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -75,6 +76,19 @@ cmake --build --preset asan-ubsan -j "$jobs"
 
 echo "=== asan-ubsan preset: unit-, persistent-, analyze-, transport-, overlap-, tune- and simd-labeled tests ==="
 ctest --preset asan-ubsan -j "$jobs" -L 'unit|persistent|analyze|transport|overlap|tune|simd'
+
+echo "=== tsan preset: configure + build ==="
+cmake --preset tsan
+cmake --build --preset tsan -j "$jobs"
+
+echo "=== tsan preset: unit-, persistent-, analyze-, transport-, overlap- and tune-labeled tests ==="
+# Every simulated rank is a thread sharing mailboxes, collectives, the
+# aggregator, the fabric and obs; any data race TSan sees fails its test.
+# The golden captures (label regression) are left out: under TSan the
+# abl_overlap and abl_autotune sweeps alone take over ten minutes, and the
+# same runtime paths are covered by the unit tests.
+ctest --preset tsan -j "$jobs" \
+  -L 'unit|persistent|analyze|transport|overlap|tune' -LE regression
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <tuple>
 
 #include "common/error.h"
 
@@ -119,7 +120,10 @@ std::string chrome_trace_json(const Session& s) {
 
     // Messages: a slice on the sender's net track for the wire time, a
     // zero-duration arrival marker on the receiver's, and a flow arrow
-    // (s/f) connecting them. Sorted by departure, then src, dst and tag.
+    // (s/f) connecting them. Sorted by departure, then src, dst and tag,
+    // then arrival, bytes and partition: the partitions of one wire that
+    // share an aggregation frame depart together, and flows sealed on
+    // another rank's thread land in the sender's log in no fixed order.
     std::vector<FlowEvent> flows;
     for (int r = 0; r < run.nranks; ++r) {
       const auto& fs = run.logs[static_cast<std::size_t>(r)].flows();
@@ -127,10 +131,10 @@ std::string chrome_trace_json(const Session& s) {
     }
     std::sort(flows.begin(), flows.end(),
               [](const FlowEvent& a, const FlowEvent& b) {
-                if (a.depart != b.depart) return a.depart < b.depart;
-                if (a.src != b.src) return a.src < b.src;
-                if (a.dst != b.dst) return a.dst < b.dst;
-                return a.tag < b.tag;
+                return std::tie(a.depart, a.src, a.dst, a.tag, a.arrive,
+                                a.bytes, a.part) <
+                       std::tie(b.depart, b.src, b.dst, b.tag, b.arrive,
+                                b.bytes, b.part);
               });
     for (const FlowEvent& f : flows) {
       const std::string id = std::to_string(flow_id++);

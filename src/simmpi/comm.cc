@@ -30,6 +30,31 @@ struct Request::State {
 
 const NetModel& Comm::net() const { return rt_->model_; }
 
+namespace {
+/// The flow record of one message, built from its envelope once its timing
+/// and fault decision are final: `arrive` includes any injected delay, and a
+/// partition keeps its index on every path. `agg_subs` is the size of the
+/// aggregation frame it rode in (0 for none).
+obs::FlowEvent flow_record(const Envelope& env, int dest, int agg_subs) {
+  obs::FlowEvent fe;
+  fe.src = env.src;
+  fe.dst = dest;
+  fe.tag = env.tag;
+  fe.bytes = static_cast<std::uint64_t>(env.sent_bytes);
+  fe.depart = env.inject_end;
+  fe.arrive = env.arrival;
+  fe.post = env.post;
+  fe.inject_start = env.inject_start;
+  fe.inject_nominal = env.inject_nominal;
+  fe.fault_delay = env.fault_delay;
+  fe.sharing = env.sharing;
+  fe.onnode = env.onnode;
+  fe.agg_subs = agg_subs;
+  fe.part = env.part;
+  return fe;
+}
+}  // namespace
+
 Request Comm::isend(const void* buf, std::size_t bytes, int dest, int tag) {
   return isend_impl(buf, bytes, nullptr, dest, tag);
 }
@@ -85,7 +110,33 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
   } else {
     clock_.advance(rt_->touch(rank_, buf, bytes, /*write=*/false));
   }
+  count_send(dest, bytes);
+  if (++inflight_ > counters_.max_inflight_reqs)
+    counters_.max_inflight_reqs = inflight_;
 
+  Request req;
+  req.state_ = std::make_shared<Request::State>();
+  req.state_->kind = Request::State::Kind::Send;
+  req.state_->send_complete =
+      send_step(std::move(env), dest, buf, flat != nullptr, /*first=*/true);
+  return req;
+}
+
+void Comm::count_send(int dest, std::size_t bytes) {
+  const auto b = static_cast<std::int64_t>(bytes);
+  counters_.msgs_sent += 1;
+  counters_.bytes_sent += b;
+  if (rt_->fabric_->local(rank_, dest)) {
+    counters_.msgs_intra += 1;
+    counters_.bytes_intra += b;
+  } else {
+    counters_.msgs_inter += 1;
+    counters_.bytes_inter += b;
+  }
+}
+
+double Comm::send_step(Envelope env, int dest, const void* buf, bool strided,
+                       bool first) {
   // Hand the message to the transport tier. Flat (the default) gives every
   // message to the fabric for departure/arrival timing — with the default
   // flat fabric this is bit-identical to the original sender-NIC
@@ -94,18 +145,19 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
   // handoff away. ShmAgg additionally stages inter-node sends into the
   // node leader's frame buffer; their departure/arrival are stamped when
   // the frame seals (Runtime::seal_frame). The receiver-side memory space
-  // adds its latency at wait(); bandwidth is modeled once, here (our
-  // experiments use symmetric spaces on both endpoints).
-  const MemSpace sspace = rt_->classify(buf);
+  // adds its latency at the receive step; bandwidth is modeled once, here
+  // (our experiments use symmetric spaces on both endpoints).
+  const NetModel& m = rt_->model_;
+  const std::size_t bytes = env.data.size();
   netsim::Fabric& fab = *rt_->fabric_;
   const bool local = fab.local(rank_, dest);
-  const LinkParams lp =
-      m.adjust(local ? m.intra_node : m.inter_node, sspace, MemSpace::Host);
+  const LinkParams lp = m.adjust(local ? m.intra_node : m.inter_node,
+                                 rt_->classify(buf), MemSpace::Host);
   const transport::Kind tk = rt_->transport_;
   const bool shm_path = tk != transport::Kind::Flat && local;
   const bool agg_path = tk == transport::Kind::ShmAgg && !local;
 
-  if (shm_path && flat != nullptr) {
+  if (shm_path && strided) {
     // Strided payload on the on-node tier: publish the packed image with
     // one copy through a node-shared mapped view. Contiguous payloads are
     // pointer handoffs and pay latency only — the zero-copy win a
@@ -120,72 +172,41 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
   }
 
   const double post = clock_.now();
+  env.post = post;
   if (shm_path) {
     env.arrival = post + m.shm_handoff_alpha;
-    env.post = post;
     env.inject_start = post;
     env.inject_end = post;
-    env.inject_nominal = 0.0;
-    env.sharing = 1.0;
     env.onnode = true;
-    rt_->note_onnode(bytes, flat != nullptr);
+    rt_->note_onnode(bytes, strided);
   } else if (!agg_path) {
+    // Partitions of one round share the wire's logical message: the first
+    // pays the per-message fabric costs, the rest stream behind it
+    // (send_part) — so overlap changes when bytes move, never what the
+    // fabric carries.
     const netsim::SendTiming tm =
-        fab.send(rank_, dest, bytes, lp.alpha, lp.bw, post);
+        env.part < 0
+            ? fab.send(rank_, dest, bytes, lp.alpha, lp.bw, post)
+            : fab.send_part(rank_, dest, bytes, lp.alpha, lp.bw, post, first);
     env.arrival = tm.arrival;
-    env.post = post;
     env.inject_start = tm.inject_start;
     env.inject_end = tm.inject_end;
     env.inject_nominal = static_cast<double>(bytes) / lp.bw;
     env.sharing = tm.sharing;
-  } else {
-    env.post = post;
   }
-
-  counters_.msgs_sent += 1;
-  counters_.bytes_sent += static_cast<std::int64_t>(bytes);
-  if (local) {
-    counters_.msgs_intra += 1;
-    counters_.bytes_intra += static_cast<std::int64_t>(bytes);
-  } else {
-    counters_.msgs_inter += 1;
-    counters_.bytes_inter += static_cast<std::int64_t>(bytes);
-  }
-  if (!agg_path) {  // aggregated sub-flows are recorded at frame seal
-    if (obs::RankLog* lg = obs::ambient_log()) {
-      obs::FlowEvent fe;
-      fe.src = rank_;
-      fe.dst = dest;
-      fe.tag = tag;
-      fe.bytes = static_cast<std::uint64_t>(bytes);
-      fe.depart = env.inject_end;
-      fe.arrive = env.arrival;
-      fe.post = post;
-      fe.inject_start = env.inject_start;
-      fe.inject_nominal = env.inject_nominal;
-      fe.sharing = env.sharing;
-      fe.onnode = env.onnode;
-      lg->flow(fe);
-    }
-  }
-  if (++inflight_ > counters_.max_inflight_reqs)
-    counters_.max_inflight_reqs = inflight_;
-
-  Request req;
-  req.state_ = std::make_shared<Request::State>();
-  req.state_->kind = Request::State::Kind::Send;
-  req.state_->send_complete = agg_path ? post : env.inject_end;
 
   // Fault seam: with an injector installed, stamp the integrity header
   // (sequence + checksum of the payload as sent) and let the seeded
-  // schedule perturb the envelope. None of this touches the virtual clock
+  // schedule perturb the envelope. Each (peer, tag, partition) is its own
+  // integrity stream, so a reorder/delay on one partition leaves the
+  // others' sequence checks clean. None of this touches the virtual clock
   // except an injected Delay, which moves only the arrival.
+  env.sent_bytes = bytes;
   bool duplicate = false, hold = false;
   if (FaultInjector* fi = rt_->fault_) {
-    env.sent_bytes = bytes;
-    env.seq = ++send_seq_[{dest, tag}];
+    env.seq = ++send_seq_[{dest, env.tag, env.part}];
     env.checksum = checksum_bytes(env.data.data(), env.data.size());
-    const FaultInjector::Decision d = fi->decide(rank_, dest, tag, bytes);
+    const FaultInjector::Decision d = fi->decide(rank_, dest, env.tag, bytes);
     switch (d.kind) {
       case FaultKind::None:
         break;
@@ -211,26 +232,40 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
         break;
     }
   }
+  if (!agg_path) {  // aggregated subs are recorded when their frame seals
+    if (obs::RankLog* lg = obs::ambient_log())
+      lg->flow(flow_record(env, dest, 0));
+  }
+  const double done = agg_path ? post : env.inject_end;
   if (agg_path) {
-    // Staged toward the node leader's frame. A Reorder fault becomes a
-    // deterministic displacement into the next commit generation (the
-    // frame build is the wire here); everything else was already applied
-    // to the sub-envelope above, so faults keep biting per sub-message.
+    // Staged toward the node leader's frame; the fault decision above
+    // already bit the sub-envelope, and a Reorder moves only its mailbox
+    // delivery behind the frame's other subs (Runtime::seal_frame).
     if (duplicate) rt_->stage_agg(rank_, dest, env, false);  // same seq
-    rt_->stage_agg(rank_, dest, std::move(env), /*defer=*/hold);
+    rt_->stage_agg(rank_, dest, std::move(env), hold);
   } else if (hold) {
     // Reordered: parked until the next send to this peer (below) or the
-    // next wait/collective flush point. The arrival time was already
-    // fixed above, so only delivery order shifts — which (src, tag)
-    // matching absorbs unless two messages share an edge, where the
-    // receiver's sequence check fires.
+    // next commit point. The arrival time was already fixed above, so only
+    // delivery order shifts — which (src, tag, part) matching absorbs
+    // unless two messages share an edge, where the receiver's sequence
+    // check fires.
     held_.emplace_back(dest, std::move(env));
   } else {
     if (duplicate) rt_->deliver(dest, env);  // replayed copy, same seq
     rt_->deliver(dest, std::move(env));
     flush_held_to(dest);
   }
-  return req;
+  return done;
+}
+
+void Comm::commit_point() {
+  // Before this rank can block, everything it still holds back (reorder
+  // faults) must reach the wire — the flush point that keeps fault
+  // schedules deadlock-free. The same point advances this rank's
+  // aggregation commit generation, so staged frames seal before anyone
+  // can block on their sub-messages.
+  if (!held_.empty()) flush_held();
+  rt_->transport_commit(rank_);
 }
 
 void Comm::flush_held() {
@@ -250,12 +285,13 @@ void Comm::flush_held_to(int dest) {
 }
 
 void Comm::verify_envelope(const Envelope& env, std::size_t want_bytes,
-                           int src, int tag, std::uint64_t& last) {
+                           std::uint64_t& last) {
   auto diag = [&](const std::string& what) {
     rt_->fault_->note_detected();
     char ctx[96];
-    std::snprintf(ctx, sizeof ctx, " (src=%d dst=%d tag=%d seq=%llu)", src,
-                  rank_, tag, static_cast<unsigned long long>(env.seq));
+    std::snprintf(ctx, sizeof ctx, " (src=%d dst=%d tag=%d seq=%llu)",
+                  env.src, rank_, env.tag,
+                  static_cast<unsigned long long>(env.seq));
     brickx::fail("fault detected: " + what + ctx);
   };
   if (env.dropped)
@@ -271,6 +307,46 @@ void Comm::verify_envelope(const Envelope& env, std::size_t want_bytes,
          std::to_string(env.sent_bytes) + " bytes arrived)");
   if (checksum_bytes(env.data.data(), env.data.size()) != env.checksum)
     diag("payload corruption (checksum mismatch)");
+}
+
+Envelope Comm::recv_step(int src, int tag, int part, const void* buf,
+                         std::size_t bytes) {
+  Envelope env = rt_->match(rank_, src, tag, part);
+  if (rt_->fault_ != nullptr)
+    verify_envelope(env, bytes, recv_seq_[{src, tag, part}]);
+  else
+    BX_CHECK(env.data.size() == bytes, "receive size mismatch");
+
+  const NetModel& m = rt_->model_;
+  const MemSpace dspace = rt_->classify(buf);
+  double avail = env.arrival;
+  if (dspace == MemSpace::Device) avail += m.device_alpha_extra;
+  if (dspace == MemSpace::Unified) avail += m.um_alpha_extra;
+  if (obs::RankLog* lg = obs::ambient_log()) {
+    // Receiver-side causal record for the critical-path analyzer: the
+    // sender timeline from the envelope plus this rank's wait/availability
+    // times. Captured before advance_to so wait_start is the blocked-from
+    // time.
+    obs::RecvEvent re;
+    re.src = src;
+    re.tag = tag;
+    re.bytes = static_cast<std::uint64_t>(bytes);
+    re.post = env.post;
+    re.inject_start = env.inject_start;
+    re.depart = env.inject_end;
+    re.inject_nominal = env.inject_nominal;
+    re.arrive = env.arrival;
+    re.fault_delay = env.fault_delay;
+    re.sharing = env.sharing;
+    re.wait_start = clock_.now();
+    re.avail = avail;
+    re.onnode = env.onnode;
+    re.agg_unpack = env.agg_unpack;
+    re.part = part;
+    lg->recv(re);
+  }
+  clock_.advance_to(avail);
+  return env;
 }
 
 Request Comm::irecv_impl(void* buf, std::size_t bytes,
@@ -393,10 +469,11 @@ void Persistent::free() {
 
 // ---------------------------------------------------------------------------
 // Partitioned persistent requests (MPI 4.0 §4.2 style). One logical message
-// per round, but the payload moves partition-by-partition: pready(i) mirrors
-// the isend_impl pipeline for its byte subrange (copy, touch hooks, on-node
-// short circuit or per-partition fabric injection, per-partition fault
-// decision), and arrived(i) mirrors the receive side of Comm::wait for one
+// per round, but the payload moves partition-by-partition: pready(i) stages
+// its byte subrange as an envelope carrying the partition index and hands
+// it to the same send step as isend_impl (transport choice, send_part
+// fabric timing, flow record, integrity stream, fault decision, delivery),
+// and arrived(i) takes the same receive step as Comm::wait for that one
 // partition. Logical counters (msgs_sent/msgs_recv and the intra/inter
 // split) are charged once per round, at start() / last consumption, so the
 // counter invariants the oracle checks are identical to the bulk path on
@@ -416,9 +493,6 @@ struct Partitioned::State {
   bool active = false;             ///< a round is in flight
   std::vector<char> done;  ///< per-partition readied (send) / consumed (recv)
   int remaining = 0;       ///< partitions not yet readied / consumed
-  /// Fabric injections this round; the first opens the wire's logical
-  /// message (Fabric::send_part `first`), the rest stream behind it.
-  int fabric_injected = 0;
 };
 
 Partitioned Comm::pinit_impl(bool is_send, const void* buf, std::size_t bytes,
@@ -520,21 +594,12 @@ void Partitioned::start() {
   st.active = true;
   std::fill(st.done.begin(), st.done.end(), char{0});
   st.remaining = static_cast<int>(st.sizes.size());
-  st.fabric_injected = 0;
   const NetModel& m = c.rt_->model_;
   if (st.is_send) {
     // Posting the round is one logical message: the per-message overhead
     // and the send-side counters land here; bytes follow via pready.
     c.clock_.advance(m.send_overhead);
-    c.counters_.msgs_sent += 1;
-    c.counters_.bytes_sent += static_cast<std::int64_t>(st.bytes);
-    if (c.rt_->fabric_->local(c.rank_, st.peer)) {
-      c.counters_.msgs_intra += 1;
-      c.counters_.bytes_intra += static_cast<std::int64_t>(st.bytes);
-    } else {
-      c.counters_.msgs_inter += 1;
-      c.counters_.bytes_inter += static_cast<std::int64_t>(st.bytes);
-    }
+    c.count_send(st.peer, st.bytes);
   } else {
     c.clock_.advance(m.recv_overhead);
   }
@@ -555,191 +620,52 @@ void Partitioned::pready(int i) {
   if (st.done[static_cast<std::size_t>(i)])
     throw PartitionedError("partition readied twice in one round");
   Comm& c = *st.comm;
-  Runtime* rt = c.rt_;
   obs::ObsSpan op_span(obs::Cat::Call, "mpi_pready");
-  const NetModel& m = rt->model_;
   const std::size_t off = st.offs[static_cast<std::size_t>(i)];
   const std::size_t bytes = st.sizes[static_cast<std::size_t>(i)];
   const std::byte* src = static_cast<const std::byte*>(st.sbuf) + off;
-  c.clock_.advance(m.pready_overhead);
+  c.clock_.advance(c.rt_->model_.pready_overhead);
 
   Envelope env;
   env.src = c.rank_;
   env.tag = st.tag;
   env.part = i;
-  env.data.resize(bytes);
-  std::memcpy(env.data.data(), src, bytes);
-  c.clock_.advance(rt->touch(c.rank_, src, bytes, /*write=*/false));
-
-  // Same transport decision tree as isend_impl, applied per partition: the
-  // on-node tier hands the partition off directly; aggregation stages it as
-  // its own sub-message; otherwise it is injected into the fabric the
-  // moment it is readied — this is the per-partition injection timing the
-  // overlap scheduler leans on.
-  const MemSpace sspace = rt->classify(src);
-  netsim::Fabric& fab = *rt->fabric_;
-  const bool local = fab.local(c.rank_, st.peer);
-  const LinkParams lp =
-      m.adjust(local ? m.intra_node : m.inter_node, sspace, MemSpace::Host);
-  const transport::Kind tk = rt->transport_;
-  const bool shm_path = tk != transport::Kind::Flat && local;
-  const bool agg_path = tk == transport::Kind::ShmAgg && !local;
-  if (agg_path) {
-    const double copy = static_cast<double>(bytes) / m.shm_view_bw;
-    obs::note_cost(obs::Cat::OnNode, "agg_stage", copy);
-    c.clock_.advance(copy);
-  }
-
-  const double post = c.clock_.now();
-  if (shm_path) {
-    env.arrival = post + m.shm_handoff_alpha;
-    env.post = post;
-    env.inject_start = post;
-    env.inject_end = post;
-    env.inject_nominal = 0.0;
-    env.sharing = 1.0;
-    env.onnode = true;
-    rt->note_onnode(bytes, false);
-  } else if (!agg_path) {
-    // Partitions of one round share the wire's logical message: the first
-    // pays the per-message fabric costs, the rest stream behind it
-    // (send_part) — so overlap changes when bytes move, never what the
-    // fabric carries.
-    const netsim::SendTiming tm =
-        fab.send_part(c.rank_, st.peer, bytes, lp.alpha, lp.bw, post,
-                      st.fabric_injected++ == 0);
-    env.arrival = tm.arrival;
-    env.post = post;
-    env.inject_start = tm.inject_start;
-    env.inject_end = tm.inject_end;
-    env.inject_nominal = static_cast<double>(bytes) / lp.bw;
-    env.sharing = tm.sharing;
-  } else {
-    env.post = post;
-  }
-  if (!agg_path) {
-    if (obs::RankLog* lg = obs::ambient_log()) {
-      obs::FlowEvent fe;
-      fe.src = c.rank_;
-      fe.dst = st.peer;
-      fe.tag = st.tag;
-      fe.bytes = static_cast<std::uint64_t>(bytes);
-      fe.depart = env.inject_end;
-      fe.arrive = env.arrival;
-      fe.post = post;
-      fe.inject_start = env.inject_start;
-      fe.inject_nominal = env.inject_nominal;
-      fe.sharing = env.sharing;
-      fe.onnode = env.onnode;
-      fe.part = i;
-      lg->flow(fe);
-    }
-  }
-  // Fault seam: each partition is its own integrity stream, so the seeded
-  // schedule perturbs partitions independently (a reorder/delay on one
-  // leaves the others' sequence checks clean).
-  bool duplicate = false, hold = false;
-  if (FaultInjector* fi = rt->fault_) {
-    env.sent_bytes = bytes;
-    env.seq = ++c.psend_seq_[{st.peer, st.tag, i}];
-    env.checksum = checksum_bytes(env.data.data(), env.data.size());
-    const FaultInjector::Decision d = fi->decide(c.rank_, st.peer, st.tag,
-                                                 bytes);
-    switch (d.kind) {
-      case FaultKind::None:
-        break;
-      case FaultKind::Delay:
-        env.arrival += d.delay;
-        env.fault_delay = d.delay;
-        break;
-      case FaultKind::Drop:
-        env.dropped = true;
-        env.data.clear();
-        break;
-      case FaultKind::Duplicate:
-        duplicate = true;
-        break;
-      case FaultKind::Reorder:
-        hold = true;
-        break;
-      case FaultKind::Truncate:
-        env.data.resize(d.truncate_to);
-        break;
-      case FaultKind::Corrupt:
-        env.data[d.corrupt_at] ^= std::byte{0x2a};
-        break;
-    }
-  }
-  if (agg_path) {
-    if (duplicate) rt->stage_agg(c.rank_, st.peer, env, false);  // same seq
-    rt->stage_agg(c.rank_, st.peer, std::move(env), /*defer=*/hold);
-  } else if (hold) {
-    c.held_.emplace_back(st.peer, std::move(env));
-  } else {
-    if (duplicate) rt->deliver(st.peer, env);  // replayed copy, same seq
-    rt->deliver(st.peer, std::move(env));
-    c.flush_held_to(st.peer);
-  }
+  env.data.assign(src, src + bytes);
+  c.clock_.advance(c.rt_->touch(c.rank_, src, bytes, /*write=*/false));
+  // Injected the moment it is readied — the per-partition timing the
+  // overlap scheduler leans on. The round's first partition opens the
+  // wire's logical message on the fabric; the rest stream behind it.
+  const bool first = st.remaining == static_cast<int>(st.sizes.size());
+  c.send_step(std::move(env), st.peer, src, /*strided=*/false, first);
   st.done[static_cast<std::size_t>(i)] = 1;
   --st.remaining;
 }
 
 bool Partitioned::consume(int i) {
-  // Shared receive-side path of arrived()/wait(): matches exactly partition
-  // i's envelope (bulk traffic on the same (src, tag) can never satisfy
-  // it), verifies its integrity stream, records the causal RecvEvent and
-  // advances the clock no further than this partition's arrival.
+  // Shared receive-side path of arrived()/wait(): the receive step matches
+  // exactly partition i's envelope (bulk traffic on the same (src, tag) can
+  // never satisfy it), verifies its integrity stream, records the causal
+  // RecvEvent and advances the clock no further than this partition's
+  // arrival.
   auto& st = *state_;
   Comm& c = *st.comm;
-  Runtime* rt = c.rt_;
-  // Flush points first (reorder-fault holds, aggregation commit): this rank
-  // must not block on a peer while it still holds back traffic itself.
-  if (!c.held_.empty()) c.flush_held();
-  rt->transport_commit(c.rank_);
-  Envelope env = rt->match(c.rank_, st.peer, st.tag, i);
-  const std::size_t off = st.offs[static_cast<std::size_t>(i)];
+  c.commit_point();
   const std::size_t bytes = st.sizes[static_cast<std::size_t>(i)];
-  if (rt->fault_ != nullptr) {
-    c.verify_envelope(env, bytes, st.peer, st.tag,
-                      c.precv_seq_[{st.peer, st.tag, i}]);
-  } else {
-    BX_CHECK(env.data.size() == bytes, "partition receive size mismatch");
-  }
-  std::byte* dst = static_cast<std::byte*>(st.rbuf) + off;
-  const NetModel& m = rt->model_;
-  const MemSpace dspace = rt->classify(dst);
-  double arrival = env.arrival;
-  if (dspace == MemSpace::Device) arrival += m.device_alpha_extra;
-  if (dspace == MemSpace::Unified) arrival += m.um_alpha_extra;
+  std::byte* dst =
+      static_cast<std::byte*>(st.rbuf) + st.offs[static_cast<std::size_t>(i)];
   const double wait_start = c.clock_.now();
-  if (obs::RankLog* lg = obs::ambient_log()) {
-    obs::RecvEvent re;
-    re.src = st.peer;
-    re.tag = st.tag;
-    re.bytes = static_cast<std::uint64_t>(bytes);
-    re.post = env.post;
-    re.inject_start = env.inject_start;
-    re.depart = env.inject_end;
-    re.inject_nominal = env.inject_nominal;
-    re.arrive = env.arrival;
-    re.fault_delay = env.fault_delay;
-    re.sharing = env.sharing;
-    re.wait_start = wait_start;
-    re.avail = arrival;
-    re.onnode = env.onnode;
-    re.agg_unpack = env.agg_unpack;
-    re.part = i;
-    lg->recv(re);
-  }
-  c.clock_.advance_to(arrival);
+  const Envelope env = c.recv_step(st.peer, st.tag, i, dst, bytes);
+  // Fully hidden when the partition had already arrived: the receive step
+  // left the clock where it was.
+  const bool hidden = c.clock_.now() == wait_start;
   std::memcpy(dst, env.data.data(), bytes);
-  c.clock_.advance(rt->touch(c.rank_, dst, bytes, /*write=*/true));
+  c.clock_.advance(c.rt_->touch(c.rank_, dst, bytes, /*write=*/true));
   st.done[static_cast<std::size_t>(i)] = 1;
   if (--st.remaining == 0) {
     c.counters_.msgs_recv += 1;
     c.counters_.bytes_recv += static_cast<std::int64_t>(st.bytes);
   }
-  return arrival <= wait_start;
+  return hidden;
 }
 
 bool Partitioned::arrived(int i) {
@@ -772,8 +698,7 @@ void Partitioned::wait() {
       throw PartitionedError(
           "wait with " + std::to_string(st.remaining) +
           " unready partitions (every partition needs pready first)");
-    if (!c.held_.empty()) c.flush_held();
-    c.rt_->transport_commit(c.rank_);
+    c.commit_point();
     // Send completion = every partition readied. pready copied each
     // partition eagerly, so the user buffer is already reusable and the
     // sender does NOT drain the NIC here (unlike a bulk Request wait):
@@ -800,13 +725,7 @@ void Partitioned::free() {
 void Comm::wait(Request& req) {
   BX_CHECK(req.valid(), "wait on an empty Request");
   obs::ObsSpan op_span(obs::Cat::Wait, "mpi_wait");
-  // Before this rank can block, everything it still holds back (reorder
-  // faults) must reach the wire — the flush point that keeps fault
-  // schedules deadlock-free. The same point advances this rank's
-  // aggregation commit generation, so staged frames seal before anyone
-  // can block on their sub-messages.
-  if (!held_.empty()) flush_held();
-  rt_->transport_commit(rank_);
+  commit_point();
   auto& st = *req.state_;
   BX_CHECK(!st.done, "Request already completed");
   st.done = true;
@@ -816,46 +735,11 @@ void Comm::wait(Request& req) {
     req.state_.reset();
     return;
   }
-  Envelope env = rt_->match(rank_, st.peer, st.tag);
-  if (rt_->fault_ != nullptr) {
-    verify_envelope(env, st.bytes, st.peer, st.tag,
-                    recv_seq_[{st.peer, st.tag}]);
-  } else {
-    BX_CHECK(env.data.size() == st.bytes, "receive size mismatch");
-  }
-
-  const NetModel& m = rt_->model_;
-  const MemSpace dspace = rt_->classify(st.buf);
-  double arrival = env.arrival;
-  if (dspace == MemSpace::Device) arrival += m.device_alpha_extra;
-  if (dspace == MemSpace::Unified) arrival += m.um_alpha_extra;
-  if (obs::RankLog* lg = obs::ambient_log()) {
-    // Receiver-side causal record for the critical-path analyzer: the
-    // sender timeline from the envelope plus this rank's wait/availability
-    // times. Captured before advance_to so wait_start is the blocked-from
-    // time.
-    obs::RecvEvent re;
-    re.src = st.peer;
-    re.tag = st.tag;
-    re.bytes = static_cast<std::uint64_t>(st.bytes);
-    re.post = env.post;
-    re.inject_start = env.inject_start;
-    re.depart = env.inject_end;
-    re.inject_nominal = env.inject_nominal;
-    re.arrive = env.arrival;
-    re.fault_delay = env.fault_delay;
-    re.sharing = env.sharing;
-    re.wait_start = clock_.now();
-    re.avail = arrival;
-    re.onnode = env.onnode;
-    re.agg_unpack = env.agg_unpack;
-    lg->recv(re);
-  }
-  clock_.advance_to(arrival);
-
+  const Envelope env = recv_step(st.peer, st.tag, -1, st.buf, st.bytes);
   counters_.msgs_recv += 1;
   counters_.bytes_recv += static_cast<std::int64_t>(st.bytes);
   if (st.flat) {
+    const NetModel& m = rt_->model_;
     obs::ObsSpan dt_span(obs::Cat::DtPack, "dt_scatter");
     st.flat->scatter(env.data.data(), static_cast<std::byte*>(st.buf));
     clock_.advance(static_cast<double>(st.flat->blocks.size()) *
@@ -905,12 +789,11 @@ struct CollResult {
 std::vector<double> Comm::allgather(double v) {
   obs::ObsSpan span(obs::Cat::Collective, "allgather");
   const double coll_entry = clock_.now();
-  if (!held_.empty()) flush_held();  // collectives are a fault flush point
-  // Collective entry is also an aggregation commit point: by the time the
-  // last arriver reaches the rendezvous below, every frame staged before
-  // the collective has sealed — so the fabric epoch() really closes over
-  // all of the round's flows.
-  rt_->transport_commit(rank_);
+  // Collective entry is a commit point: held reorder faults flush, and by
+  // the time the last arriver reaches the rendezvous below, every frame
+  // staged before the collective has sealed — so the fabric epoch() really
+  // closes over all of the round's flows.
+  commit_point();
   // First round: gather values. Second round: synchronize clocks.
   auto gather = [this](double x) {
     std::unique_lock lk(rt_->coll_mu_);
@@ -994,8 +877,9 @@ void Runtime::set_fabric(std::unique_ptr<netsim::Fabric> fabric) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport tier (DESIGN.md §13). The on-node short circuit lives inline in
-// isend_impl; what follows is the node-leader aggregation machinery: staged
+// Transport tier (DESIGN.md §13). The transport choice and the on-node short
+// circuit live in Comm::send_step; what follows is the node-leader
+// aggregation machinery: staged
 // sub-messages, the deterministic generation/commit protocol (delegated to
 // transport::Aggregator) and frame sealing, which is where aggregated
 // inter-node traffic finally meets the fabric.
@@ -1004,6 +888,7 @@ void Runtime::set_fabric(std::unique_ptr<netsim::Fabric> fabric) {
 struct Runtime::AggSub {
   int dest = 0;
   Envelope env;
+  bool held = false;  ///< Reorder fault: delivered behind the frame's others
 };
 
 struct Runtime::AggState {
@@ -1041,9 +926,9 @@ void Runtime::transport_run_begin() {
   agg_ = std::make_unique<AggState>(this, node_of);
 }
 
-void Runtime::stage_agg(int src_rank, int dest, Envelope env, bool defer) {
+void Runtime::stage_agg(int src_rank, int dest, Envelope env, bool held) {
   agg_->agg.stage(src_rank, fabric_->node_of(dest),
-                  AggSub{dest, std::move(env)}, defer);
+                  AggSub{dest, std::move(env), held});
 }
 
 void Runtime::transport_commit(int rank) {
@@ -1088,7 +973,7 @@ void Runtime::seal_frame(int src_node, int dst_node,
   const double nominal = static_cast<double>(fbytes) / m.inter_node.bw;
   double cursor = tm.arrival;
   for (AggSub& s : subs) {
-    Envelope env = std::move(s.env);
+    Envelope& env = s.env;
     const std::size_t sub_bytes = env.data.size();
     // Receiver-node unpack walks the sub table in frame order; each sub
     // becomes visible after its table entry and view copy.
@@ -1101,23 +986,18 @@ void Runtime::seal_frame(int src_node, int dst_node,
     env.agg_unpack = cursor - tm.arrival;
     env.arrival = cursor + env.fault_delay;
     if (collector_ != nullptr) {
-      obs::FlowEvent fe;
-      fe.src = env.src;
-      fe.dst = s.dest;
-      fe.tag = env.tag;
-      fe.bytes = static_cast<std::uint64_t>(sub_bytes);
-      fe.depart = tm.inject_end;
-      fe.arrive = env.arrival;
-      fe.post = env.post;
-      fe.inject_start = tm.inject_start;
-      fe.inject_nominal = nominal;
-      fe.sharing = tm.sharing;
-      fe.agg_subs = static_cast<int>(subs.size());
       std::lock_guard lk(pf_mu_);
-      pending_flows_[static_cast<std::size_t>(env.src)].push_back(fe);
+      pending_flows_[static_cast<std::size_t>(env.src)].push_back(
+          flow_record(env, s.dest, static_cast<int>(subs.size())));
     }
-    deliver(s.dest, std::move(env));
+    if (!s.held) deliver(s.dest, std::move(env));
   }
+  // A reordered sub keeps its place (and arrival) in its own generation's
+  // frame — the frame build is the wire here — and only its mailbox
+  // delivery moves behind the frame's other subs, as a held direct send
+  // moves behind the sender's next one.
+  for (AggSub& s : subs)
+    if (s.held) deliver(s.dest, std::move(s.env));
   std::lock_guard lk(tstats_mu_);
   tstats_.agg_frames += 1;
   tstats_.agg_submsgs += nsubs;

@@ -211,17 +211,17 @@ struct CommCounters {
 };
 
 /// One in-flight message as the runtime's mailboxes carry it. The
-/// integrity fields (seq / checksum / sent_bytes / dropped) are stamped and
-/// verified only while a FaultInjector is installed on the Runtime; they
-/// are inert otherwise.
+/// integrity fields (seq / checksum / dropped) are stamped and verified
+/// only while a FaultInjector is installed on the Runtime; they are inert
+/// otherwise.
 struct Envelope {
   int src = 0;
   int tag = 0;
   std::vector<std::byte> data;
   double arrival = 0.0;  ///< receiver-visible virtual arrival time
-  std::uint64_t seq = 0;        ///< per (src, dst, tag) send ordinal, from 1
+  std::uint64_t seq = 0;        ///< per (src, dst, tag, part) ordinal, from 1
   std::uint64_t checksum = 0;   ///< FNV-1a of the payload as sent
-  std::size_t sent_bytes = 0;   ///< payload size before any truncation
+  std::size_t sent_bytes = 0;   ///< payload size as sent (before any fault)
   bool dropped = false;         ///< payload lost in transit (fault)
   // Causal metadata for the critical-path analyzer (obs/analyze.h): the
   // sender-side timeline rides with the message so the receiver can record
@@ -341,17 +341,39 @@ class Comm {
                          int peer, int tag,
                          std::vector<std::size_t> part_bytes);
 
+  // The message pipeline. Whole messages (isend_impl / wait) and partitions
+  // (Partitioned::pready / consume) differ only in their front ends; every
+  // envelope (part -1 for a whole message) takes the same two steps, so
+  // pricing, tracing, faults and delivery cannot drift apart.
+  //
+  // send_step: transport choice, fabric timing (send, or send_part with
+  // `first` opening the round's logical message), flow record, integrity
+  // stamp, fault decision and delivery. `buf` is the user source (its
+  // memory space prices the link); `strided` marks a datatype payload.
+  // Returns the time the sender's NIC is done with the message.
+  double send_step(Envelope env, int dest, const void* buf, bool strided,
+                   bool first);
+  // recv_step: match (src, tag, part), verify the envelope against `bytes`,
+  // record the RecvEvent and advance the clock to the arrival as seen from
+  // `buf`'s memory space. The caller copies or scatters the payload.
+  Envelope recv_step(int src, int tag, int part, const void* buf,
+                     std::size_t bytes);
+  /// Logical send counters (one per message or partitioned round).
+  void count_send(int dest, std::size_t bytes);
+  /// Wait and collective entry: flush held reorder faults and advance the
+  /// aggregation commit generation before this rank can block.
+  void commit_point();
+
   // Fault-injection support (all no-ops unless the Runtime has an injector
-  // installed; see simmpi/fault.h). The sequence maps are per-edge message
-  // ordinals of the integrity layer — partitioned traffic keeps a separate
-  // per-(peer, tag, partition) stream so faults land on individual
-  // partitions; held_ parks envelopes a Reorder fault displaced until the
-  // next send to the same peer (or the next wait / collective — flush
-  // points that keep the simulation deadlock-free).
+  // installed; see simmpi/fault.h). The sequence maps hold the integrity
+  // layer's message ordinals, one stream per (peer, tag, part) so faults
+  // land on individual partitions; held_ parks envelopes a Reorder fault
+  // displaced until the next send to the same peer (or the next commit
+  // point — flush points that keep the simulation deadlock-free).
   void flush_held();
   void flush_held_to(int dest);
-  void verify_envelope(const Envelope& env, std::size_t want_bytes, int src,
-                       int tag, std::uint64_t& last);
+  void verify_envelope(const Envelope& env, std::size_t want_bytes,
+                       std::uint64_t& last);
 
   Runtime* rt_;
   int rank_;
@@ -359,13 +381,9 @@ class Comm {
   VClock clock_;
   CommCounters counters_;
   int inflight_ = 0;  ///< currently pending Requests (send + recv)
-  std::map<std::pair<int, int>, std::uint64_t> send_seq_;  ///< (dest, tag)
-  std::map<std::pair<int, int>, std::uint64_t> recv_seq_;  ///< (src, tag)
-  /// Partition-stream ordinals: (peer, tag, partition) — one integrity
-  /// stream per partition so reorder/delay faults on one partition cannot
-  /// trip the sequence check of another.
-  std::map<std::tuple<int, int, int>, std::uint64_t> psend_seq_;
-  std::map<std::tuple<int, int, int>, std::uint64_t> precv_seq_;
+  /// (dest, tag, part) and (src, tag, part) integrity-stream ordinals.
+  std::map<std::tuple<int, int, int>, std::uint64_t> send_seq_;
+  std::map<std::tuple<int, int, int>, std::uint64_t> recv_seq_;
   std::vector<std::pair<int, Envelope>> held_;  ///< (dest, reordered env)
 };
 
@@ -415,7 +433,6 @@ class Runtime {
   /// ranks' inter-node sends into one framed fabric flow per (node,
   /// neighbor-node) pair. Must not be called while run() is active.
   void set_transport(transport::Kind k) { transport_ = k; }
-  [[nodiscard]] transport::Kind transport_kind() const { return transport_; }
   /// Transport-tier traffic of the most recent run() (all zeros under
   /// Flat).
   [[nodiscard]] transport::Stats transport_stats() const;
@@ -434,7 +451,6 @@ class Runtime {
   /// behavior to pre-fault builds). The injector must outlive the runs it
   /// covers; the caller keeps ownership and reads counts() afterwards.
   void set_fault_injector(FaultInjector* fi) { fault_ = fi; }
-  [[nodiscard]] FaultInjector* fault_injector() const { return fault_; }
 
   /// Per-rank results collected after run(): final virtual time and
   /// counters of rank r.
@@ -460,7 +476,9 @@ class Runtime {
   struct AggState;
   struct AggSub;
   void transport_run_begin();
-  void stage_agg(int src_rank, int dest, Envelope env, bool defer);
+  /// Stage one sub-message; `held` (a Reorder fault) delivers it behind
+  /// its frame's other subs.
+  void stage_agg(int src_rank, int dest, Envelope env, bool held);
   /// Rank reached a commit point (wait or collective entry): advance its
   /// aggregation generation, then drain any sub-flow records frames sealed
   /// on other threads left for this rank's log.

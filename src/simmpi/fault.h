@@ -23,10 +23,11 @@
 //                   swept and counted as leftover after run().
 //       Reorder   — the envelope is held by the sender and released after
 //                   its next send to the same destination (or at its next
-//                   wait/collective, whichever comes first). Matching is
-//                   by (source, tag), so this is harmless unless two
-//                   messages share an edge — where the sequence check
-//                   fires.
+//                   wait/collective, whichever comes first); an aggregated
+//                   sub is delivered behind its frame's other subs. Arrival
+//                   times stay put. Matching is by (source, tag, part), so
+//                   this is harmless unless two messages share an edge —
+//                   where the sequence check fires.
 //       Truncate  — the payload is cut short; caught by the size check.
 //       Corrupt   — one payload byte is flipped; caught by the checksum.
 //

@@ -62,15 +62,13 @@ class Aggregator {
           static_cast<int>(r));
   }
 
-  /// Stage one sub-message from `src_rank` toward `dst_node`. `defer`
-  /// pushes it one generation later than the sender's current one (used to
-  /// realize reorder faults as a deterministic displacement).
-  void stage(int src_rank, int dst_node, Sub sub, bool defer = false) {
+  /// Stage one sub-message from `src_rank` toward `dst_node`, in the
+  /// sender's current commit generation.
+  void stage(int src_rank, int dst_node, Sub sub) {
     std::lock_guard<std::mutex> lk(mu_);
     const auto r = static_cast<std::size_t>(src_rank);
     NodeState& ns = nodes_[static_cast<std::size_t>(node_of_[r])];
-    const std::int64_t gen = commits_[r] + (defer ? 1 : 0);
-    ns.pending[{gen, dst_node}].push_back(
+    ns.pending[{commits_[r], dst_node}].push_back(
         Item{src_rank, ords_[r]++, std::move(sub)});
     staged_ += 1;
   }

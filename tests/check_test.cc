@@ -291,6 +291,31 @@ TEST(FaultOracle, BenignFaultsOnIndividualPartitionsStayBenign) {
   EXPECT_GT(rep.counts.injected(), 0);
 }
 
+TEST(FaultOracle, ReorderUnderAggregationIsBenign) {
+  // Under shm-agg a reordered sub still rides its own generation's frame
+  // with its own arrival; only its delivery moves behind the frame's other
+  // subs. A sub displaced into a later frame would break the aggregator's
+  // equal-commit-count liveness rule and could hang the run.
+  mpi::FaultSpec spec;
+  spec.reorder = 0.3;
+  spec.seed = 13;
+  for (int rpn : {2, 4}) {
+    for (bool overlap : {false, true}) {
+      FuzzConfig cfg = small_config();
+      cfg.rank_dims = {2, 2, 2};
+      cfg.rounds = 3;
+      cfg.ranks_per_node = rpn;
+      cfg.transport = transport::Kind::ShmAgg;
+      cfg.overlap = overlap;
+      SCOPED_TRACE(serialize_config(cfg));
+      const FaultOracleReport rep = run_fault_oracle(cfg, spec);
+      EXPECT_TRUE(rep.ok) << rep.diagnosis;
+      EXPECT_FALSE(rep.error_raised);
+      EXPECT_GT(rep.counts.reordered, 0);
+    }
+  }
+}
+
 TEST(FaultOracle, CorruptedPartitionIsDetectedNotSilent) {
   mpi::FaultSpec spec;
   spec.corrupt = 0.2;

@@ -112,6 +112,7 @@ void multi_field_end_to_end(int fields, MakeExchange&& make) {
 }
 
 TEST(MultiFieldExchange, PackSendsOneMessagePerNeighbor) {
+  // Every rank thread runs the body; only rank 0 writes these.
   std::int64_t bytes1 = 0, bytes3 = 0;
   multi_field_end_to_end(1, [&](Comm& comm, const Vec3& N, std::int64_t g,
                                 const std::vector<BitSet>& dirs,
@@ -119,7 +120,7 @@ TEST(MultiFieldExchange, PackSendsOneMessagePerNeighbor) {
                                 ArrayFields& af) {
     baseline::PackExchanger ex(N, g, dirs, ranks, 1);
     EXPECT_EQ(ex.send_message_count(), 26);
-    bytes1 = ex.send_byte_count();
+    if (comm.rank() == 0) bytes1 = ex.send_byte_count();
     ex.exchange(comm, af);
   });
   multi_field_end_to_end(3, [&](Comm& comm, const Vec3& N, std::int64_t g,
@@ -130,13 +131,14 @@ TEST(MultiFieldExchange, PackSendsOneMessagePerNeighbor) {
     // The acceptance property: message count is field-count-invariant,
     // bytes scale exactly linearly.
     EXPECT_EQ(ex.send_message_count(), 26);
-    bytes3 = ex.send_byte_count();
+    if (comm.rank() == 0) bytes3 = ex.send_byte_count();
     ex.exchange(comm, af);
   });
   EXPECT_EQ(bytes3, 3 * bytes1);
 }
 
 TEST(MultiFieldExchange, MpiTypesConcatDatatypePerNeighbor) {
+  // Every rank thread runs the body; only rank 0 writes these.
   std::int64_t bytes1 = 0, bytes3 = 0;
   multi_field_end_to_end(1, [&](Comm& comm, const Vec3& N, std::int64_t g,
                                 const std::vector<BitSet>& dirs,
@@ -144,7 +146,7 @@ TEST(MultiFieldExchange, MpiTypesConcatDatatypePerNeighbor) {
                                 ArrayFields& af) {
     baseline::MpiTypesExchanger ex(N, g, dirs, ranks, af);
     EXPECT_EQ(ex.send_message_count(), 26);
-    bytes1 = ex.send_byte_count();
+    if (comm.rank() == 0) bytes1 = ex.send_byte_count();
     ex.exchange(comm, af);
   });
   multi_field_end_to_end(3, [&](Comm& comm, const Vec3& N, std::int64_t g,
@@ -153,7 +155,7 @@ TEST(MultiFieldExchange, MpiTypesConcatDatatypePerNeighbor) {
                                 ArrayFields& af) {
     baseline::MpiTypesExchanger ex(N, g, dirs, ranks, af);
     EXPECT_EQ(ex.send_message_count(), 26);
-    bytes3 = ex.send_byte_count();
+    if (comm.rank() == 0) bytes3 = ex.send_byte_count();
     ex.exchange(comm, af);
   });
   EXPECT_EQ(bytes3, 3 * bytes1);

@@ -174,36 +174,53 @@ TEST(HarnessOverlap, ScheduleIsPureFunctionOfConfig) {
 // ---- partition accounting, read off the trace -------------------------------
 
 TEST(HarnessOverlap, EveryPartitionReadiedAndConsumedExactlyOncePerRound) {
-  obs::Session ses;
-  {
-    obs::Session::Scope scope(ses);
-    harness::Config cfg = overlap_config(harness::Method::MemMap);
-    cfg.overlap = true;
-    const harness::Result res = harness::run(cfg);
-    EXPECT_TRUE(res.validated);
-  }
-  ASSERT_EQ(ses.runs().size(), 1u);
-  const obs::Session::Run& run = ses.runs()[0];
+  // On the fabric path and inside aggregation frames alike: a partition
+  // that rides a frame keeps its index in the sender's flow record.
+  for (const brickx::transport::Kind tk :
+       {brickx::transport::Kind::Flat, brickx::transport::Kind::ShmAgg}) {
+    SCOPED_TRACE(brickx::transport::kind_name(tk));
+    obs::Session ses;
+    {
+      obs::Session::Scope scope(ses);
+      harness::Config cfg = overlap_config(harness::Method::MemMap);
+      cfg.overlap = true;
+      if (tk == brickx::transport::Kind::ShmAgg)
+        cfg.machine.net.ranks_per_node = 4;
+      cfg.transport = tk;
+      const harness::Result res = harness::run(cfg);
+      EXPECT_TRUE(res.validated);
+    }
+    ASSERT_EQ(ses.runs().size(), 1u);
+    const obs::Session::Run& run = ses.runs()[0];
 
-  // Each pready emits one FlowEvent with part >= 0 on the sender; each
-  // consume emits one RecvEvent with part >= 0 on the receiver. Group by
-  // the full partition identity: per key, the count is the number of
-  // exchange rounds — and therefore identical across every key. A partition
-  // skipped (or readied twice) in any round would break the uniformity.
-  std::map<std::tuple<int, int, int, int>, int> flows;  // (src,dst,tag,part)
-  std::map<std::tuple<int, int, int, int>, int> recvs;  // (dst,src,tag,part)
-  for (int r = 0; r < run.nranks; ++r) {
-    for (const obs::FlowEvent& f : run.logs[static_cast<std::size_t>(r)].flows())
-      if (f.part >= 0) ++flows[{f.src, f.dst, f.tag, f.part}];
-    for (const obs::RecvEvent& e : run.logs[static_cast<std::size_t>(r)].recvs())
-      if (e.part >= 0) ++recvs[{r, e.src, e.tag, e.part}];
+    // Each pready emits one FlowEvent with part >= 0 on the sender; each
+    // consume emits one RecvEvent with part >= 0 on the receiver. Group by
+    // the full partition identity: per key, the count is the number of
+    // exchange rounds — and therefore identical across every key. A
+    // partition skipped (or readied twice) in any round would break the
+    // uniformity.
+    std::map<std::tuple<int, int, int, int>, int> flows;  // (src,dst,tag,part)
+    std::map<std::tuple<int, int, int, int>, int> recvs;  // (dst,src,tag,part)
+    int whole = 0;  // whole-message flows: none under overlap
+    for (int r = 0; r < run.nranks; ++r) {
+      const obs::RankLog& lg = run.logs[static_cast<std::size_t>(r)];
+      for (const obs::FlowEvent& f : lg.flows()) {
+        if (f.part >= 0)
+          ++flows[{f.src, f.dst, f.tag, f.part}];
+        else
+          ++whole;
+      }
+      for (const obs::RecvEvent& e : lg.recvs())
+        if (e.part >= 0) ++recvs[{r, e.src, e.tag, e.part}];
+    }
+    EXPECT_EQ(whole, 0);
+    ASSERT_FALSE(flows.empty());
+    ASSERT_EQ(flows.size(), recvs.size());
+    const int rounds = flows.begin()->second;
+    EXPECT_GT(rounds, 1);  // warmup round + measured rounds
+    for (const auto& [key, n] : flows) EXPECT_EQ(n, rounds);
+    for (const auto& [key, n] : recvs) EXPECT_EQ(n, rounds);
   }
-  ASSERT_FALSE(flows.empty());
-  ASSERT_EQ(flows.size(), recvs.size());
-  const int rounds = flows.begin()->second;
-  EXPECT_GT(rounds, 1);  // warmup round + measured rounds
-  for (const auto& [key, n] : flows) EXPECT_EQ(n, rounds);
-  for (const auto& [key, n] : recvs) EXPECT_EQ(n, rounds);
 }
 
 TEST(HarnessOverlap, AnalyzerIdentityHoldsUnderOverlap) {

@@ -4,7 +4,9 @@
 // tests/data/harness_seam.txt. The goldens print 3-4 decimals and pin only a
 // few methods; these pins cover Shift, Network, the floor proxy, every GPU
 // mode, plan-per-round, overlap, multi-field, faults, transport and mapping
-// so a refactor of the setup path cannot drift any of them silently.
+// so a refactor of the setup path cannot drift any of them silently. In obs
+// builds each case also pins a hash of its Chrome trace and of its
+// critical-path analysis, so every flow and receive record is bit-exact too.
 //
 // A mismatch prints the case's actual line in the data-file format.
 
@@ -25,6 +27,10 @@
 #include "harness/experiment.h"
 #include "netsim/fabric.h"
 #include "netsim/mapping.h"
+#include "obs/analyze.h"
+#include "obs/export.h"
+#include "obs/session.h"
+#include "simmpi/fault.h"
 
 namespace brickx::harness {
 namespace {
@@ -126,14 +132,60 @@ std::vector<Case> roster() {
     c.mapping = netsim::MapKind::Greedy;
     add("dragonfly_greedy", c);
   }
+  // Every branch of simmpi's message pipeline: partitions on the on-node
+  // tier, in aggregation frames and as send_part continuations on a
+  // contention fabric; strided (datatype) payloads on the on-node tier;
+  // and per-partition, reorder and aggregated fault decisions.
+  {
+    Config c = base(Method::MemMap);
+    c.overlap = true;
+    c.machine.net.ranks_per_node = 4;
+    c.transport = transport::Kind::Shm;
+    add("overlap_shm_MemMap", c);
+    c.method = Method::Layout;
+    c.transport = transport::Kind::ShmAgg;
+    add("overlap_shmagg_Layout", c);
+    c.transport = transport::Kind::Flat;
+    c.rank_dims = {2, 2, 4};
+    c.fabric = netsim::FabricKind::Dragonfly;
+    add("overlap_dragonfly_Layout", c);
+  }
+  for (transport::Kind k : {transport::Kind::Shm, transport::Kind::ShmAgg}) {
+    Config c = base(Method::MpiTypes);
+    c.machine.net.ranks_per_node = 4;
+    c.transport = k;
+    add(std::string(k == transport::Kind::Shm ? "shm_" : "shmagg_") +
+            method_name(Method::MpiTypes),
+        c);
+  }
+  {
+    Config c = base(Method::Basic);
+    c.overlap = true;
+    c.faults.seed = 7;
+    c.faults.delay = 0.3;
+    c.faults.reorder = 0.2;
+    add("overlap_faults_Basic", c);
+  }
+  {
+    Config c = base(Method::Layout);
+    c.faults.seed = 7;
+    c.faults.reorder = 0.3;
+    add("faults_reorder_Layout", c);
+    c.faults.reorder = 0.0;
+    c.faults.delay = 0.3;
+    c.machine.net.ranks_per_node = 4;
+    c.transport = transport::Kind::ShmAgg;
+    add("shmagg_delay_Layout", c);
+  }
   return out;
 }
 
+using Fingerprint = std::vector<std::pair<std::string, std::uint64_t>>;
+
 /// Every Result field in declaration order, doubles as their bit patterns
 /// (Stats by count/min/avg/max/sigma).
-std::vector<std::pair<std::string, std::uint64_t>> fingerprint(
-    const Result& r) {
-  std::vector<std::pair<std::string, std::uint64_t>> f;
+Fingerprint fingerprint(const Result& r) {
+  Fingerprint f;
   auto d = [&](const char* name, double v) {
     f.emplace_back(name, std::bit_cast<std::uint64_t>(v));
   };
@@ -196,11 +248,16 @@ std::vector<std::pair<std::string, std::uint64_t>> fingerprint(
   return f;
 }
 
+/// Trace pins hash an exported document with 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& doc) {
+  return mpi::checksum_bytes(doc.data(), doc.size());
+}
+
 /// One data-file line: `case field=hex ...`, listing the nonzero fields.
-std::string to_line(const std::string& name, const Result& r) {
+std::string to_line(const std::string& name, const Fingerprint& fp) {
   std::ostringstream os;
   os << name;
-  for (const auto& [field, bits] : fingerprint(r)) {
+  for (const auto& [field, bits] : fp) {
     if (bits == 0) continue;
     char hex[20];
     std::snprintf(hex, sizeof hex, "%llx",
@@ -235,18 +292,34 @@ TEST_P(HarnessSeam, EveryResultFieldIsBitExact) {
   static const auto golden = load_golden();
   const Case& c = GetParam();
   const auto it = golden.find(c.name);
-  const Result r = run(c.cfg);
+  obs::Session ses;
+  Result r;
+  {
+    obs::Session::Scope scope(ses);
+    r = run(c.cfg);
+  }
+  Fingerprint fp = fingerprint(r);
+  // Only obs builds record traces; there, the run's Chrome trace and its
+  // critical-path analysis are pinned too.
+#if BRICKX_OBS
+  fp.emplace_back("trace.chrome", fnv1a(obs::chrome_trace_json(ses)));
+  fp.emplace_back("trace.analysis", fnv1a(obs::analysis_json(ses)));
+#endif
   ASSERT_NE(it, golden.end()) << "no pinned line for this case; actual:\n"
-                              << to_line(c.name, r);
+                              << to_line(c.name, fp);
   std::map<std::string, std::uint64_t> pinned = it->second;
-  for (const auto& [field, bits] : fingerprint(r)) {
+#if !BRICKX_OBS
+  pinned.erase("trace.chrome");
+  pinned.erase("trace.analysis");
+#endif
+  for (const auto& [field, bits] : fp) {
     EXPECT_EQ(bits, pinned[field]) << c.name << ": field " << field;
     pinned.erase(field);
   }
   EXPECT_TRUE(pinned.empty())
       << c.name << ": pins a field Result does not have: "
       << pinned.begin()->first;
-  if (HasFailure()) ADD_FAILURE() << "actual:\n" << to_line(c.name, r);
+  if (HasFailure()) ADD_FAILURE() << "actual:\n" << to_line(c.name, fp);
 }
 
 INSTANTIATE_TEST_SUITE_P(Roster, HarnessSeam, ::testing::ValuesIn(roster()),

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -388,6 +390,74 @@ TEST(Obs, FlowArrowIdsUniqueAndDeterministicAcrossRuns) {
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
               sorted.end())
       << "duplicate flow id across absorbed runs";
+}
+
+// A flow record and the receive that consumed it describe one message:
+// both must carry the same arrival, injected delay included, and the same
+// partition index, on every send path (fabric, on-node tier, aggregation
+// frame, partition). Paired by (src, dst, tag, part) and then by order.
+TEST(Obs, FlowRecordsAgreeWithTheirReceivesUnderDelay) {
+  struct Variant {
+    const char* name;
+    brickx::transport::Kind transport;
+    bool overlap;
+  };
+  for (const Variant& v :
+       {Variant{"flat", brickx::transport::Kind::Flat, false},
+        Variant{"shm-agg", brickx::transport::Kind::ShmAgg, false},
+        Variant{"overlap", brickx::transport::Kind::Flat, true},
+        Variant{"overlap shm-agg", brickx::transport::Kind::ShmAgg, true}}) {
+    SCOPED_TRACE(v.name);
+    brickx::harness::Config cfg;
+    cfg.rank_dims = {2, 2, 2};
+    cfg.subdomain = brickx::Vec3::fill(16);
+    cfg.brick = 4;
+    cfg.ghost = 4;
+    cfg.method = brickx::harness::Method::Layout;
+    cfg.timesteps = 8;
+    cfg.warmup_exchanges = 1;
+    cfg.validate = true;
+    cfg.machine.net.ranks_per_node = 4;
+    cfg.transport = v.transport;
+    cfg.overlap = v.overlap;
+    cfg.faults.seed = 7;
+    cfg.faults.delay = 0.3;
+    obs::Session ses;
+    {
+      obs::Session::Scope scope(ses);
+      EXPECT_TRUE(brickx::harness::run(cfg).validated);
+    }
+    ASSERT_EQ(ses.runs().size(), 1u);
+    const obs::Session::Run& run = ses.runs()[0];
+    using Key = std::tuple<int, int, int, int>;  // (src, dst, tag, part)
+    std::map<Key, std::vector<obs::FlowEvent>> flows;
+    std::map<Key, std::vector<obs::RecvEvent>> recvs;
+    for (int r = 0; r < run.nranks; ++r) {
+      const obs::RankLog& lg = run.logs[static_cast<std::size_t>(r)];
+      for (const obs::FlowEvent& f : lg.flows())
+        flows[{f.src, f.dst, f.tag, f.part}].push_back(f);
+      for (const obs::RecvEvent& e : lg.recvs())
+        recvs[{e.src, r, e.tag, e.part}].push_back(e);
+    }
+    ASSERT_FALSE(flows.empty());
+    ASSERT_EQ(flows.size(), recvs.size());
+    int arrive_diffs = 0, delay_diffs = 0;
+    double delay = 0.0;
+    for (const auto& [key, fs] : flows) {
+      const auto it = recvs.find(key);
+      ASSERT_NE(it, recvs.end());
+      ASSERT_EQ(fs.size(), it->second.size());
+      for (std::size_t i = 0; i < fs.size(); ++i) {
+        const obs::RecvEvent& e = it->second[i];
+        arrive_diffs += fs[i].arrive != e.arrive;
+        delay_diffs += fs[i].fault_delay != e.fault_delay;
+        delay += e.fault_delay;
+      }
+    }
+    EXPECT_EQ(arrive_diffs, 0);
+    EXPECT_EQ(delay_diffs, 0);
+    EXPECT_GT(delay, 0.0);  // the schedule really delayed messages
+  }
 }
 
 #endif  // BRICKX_OBS

@@ -101,22 +101,6 @@ TEST(Aggregator, SealOrderIsGenerationThenDstNode) {
   EXPECT_EQ(a.frames[1].dst_node, 2);
 }
 
-TEST(Aggregator, DeferDisplacesIntoTheNextGeneration) {
-  Agg a({0, 0, 1});
-  a.agg.stage(0, 1, 1);
-  a.agg.stage(0, 1, 2, /*defer=*/true);  // reorder-fault displacement
-  a.agg.commit(0);
-  a.agg.commit(1);
-  ASSERT_EQ(a.frames.size(), 1u);
-  EXPECT_EQ(a.frames[0].subs, (std::vector<int>{1}));
-  EXPECT_EQ(a.agg.pending(), 1);  // the deferred sub rides generation 1
-  a.agg.commit(0);
-  a.agg.commit(1);
-  ASSERT_EQ(a.frames.size(), 2u);
-  EXPECT_EQ(a.frames[1].gen, 1);
-  EXPECT_EQ(a.frames[1].subs, (std::vector<int>{2}));
-}
-
 TEST(Aggregator, FinalizeForceSealsEverythingLeft) {
   Agg a({0, 0});
   a.agg.stage(0, 3, 7);
