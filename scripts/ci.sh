@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: the full tier-1 suite on the default preset, the frozen
 # host-time benchmark's smoke run, then the fast `unit`-labeled tests again
-# under ASan+UBSan and under TSan (the sanitizer passes skip slow/fuzz
-# sweeps to keep wall time bounded; run them by hand with
-# `ctest --preset asan-ubsan` / `--preset tsan` when touching the runtime
-# or exchangers).
+# under ASan+UBSan, under TSan and in the BRICKX_OBS=OFF build (the
+# sanitizer passes skip slow/fuzz sweeps to keep wall time bounded; run
+# them by hand with `ctest --preset asan-ubsan` / `--preset tsan` when
+# touching the runtime or exchangers).
 #
 # Usage: scripts/ci.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -89,6 +89,15 @@ echo "=== tsan preset: unit-, persistent-, analyze-, transport-, overlap- and tu
 # same runtime paths are covered by the unit tests.
 ctest --preset tsan -j "$jobs" \
   -L 'unit|persistent|analyze|transport|overlap|tune' -LE regression
+
+echo "=== null-sink build (BRICKX_OBS=OFF): unit tests ==="
+# Every obs call site collapses to an inline no-op in this build; it must
+# keep compiling and its unit tests (the harness seam pins, minus their
+# trace hashes, among them) must keep passing.
+cmake -S . -B build-noobs -G Ninja \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBRICKX_OBS=OFF
+cmake --build build-noobs -j "$jobs"
+ctest --test-dir build-noobs -j "$jobs" --output-on-failure -L unit
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch

@@ -1,5 +1,8 @@
 #include "baseline/array_exchange.h"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/error.h"
 
 namespace brickx::baseline {
@@ -56,7 +59,8 @@ PackExchanger::PackExchanger(const Vec3& domain, std::int64_t ghost,
                              const std::vector<BitSet>& dirs,
                              const std::vector<int>& neighbor_ranks,
                              int fields)
-    : fields_(fields) {
+    : fields_(fields),
+      frame_{Vec3::fill(-ghost), domain + Vec3::fill(ghost)} {
   BX_CHECK(dirs.size() == neighbor_ranks.size(),
            "direction and rank tables disagree");
   BX_CHECK(fields >= 1, "need at least one field");
@@ -76,30 +80,44 @@ PackExchanger::PackExchanger(const Vec3& domain, std::int64_t ghost,
   }
 }
 
+template <typename Slab>
+std::size_t PackExchanger::copy_rows(Slab* slabs, const Box<3>& frame) {
+  constexpr bool kPack = std::is_const_v<Slab>;
+  BX_CHECK(frame.contains(frame_),
+           "field does not span the exchanger's ghost frame");
+  const Vec3 ext = frame.extent();
+  const std::int64_t slab = frame.volume();
+  std::size_t bytes = 0;
+  for (NMsg& m : msgs_) {
+    const Box<3>& b = kPack ? m.sbox : m.rbox;
+    double* buf = kPack ? m.sbuf.data() : m.rbuf.data();
+    const std::int64_t n = b.hi[0] - b.lo[0];
+    for (int f = 0; f < fields_; ++f)
+      for (std::int64_t z = b.lo[2]; z < b.hi[2]; ++z)
+        for (std::int64_t y = b.lo[1]; y < b.hi[1]; ++y, buf += n) {
+          Slab* row =
+              slabs + f * slab + linearize(Vec3{b.lo[0], y, z} - frame.lo, ext);
+          if constexpr (kPack) {
+            std::copy_n(row, n, buf);
+          } else {
+            std::copy_n(buf, n, row);
+          }
+        }
+    bytes += static_cast<std::size_t>(b.volume() * fields_) * sizeof(double);
+  }
+  return bytes;
+}
+
 std::size_t PackExchanger::pack(const CellArray3& field) {
   BX_CHECK(fields_ == 1,
            "single-field pack on a multi-field exchanger; pass ArrayFields");
-  std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for_each(m.sbox, [&](const Vec3& p) { m.sbuf[at++] = field.at(p); });
-    bytes += at * sizeof(double);
-  }
-  return bytes;
+  return copy_rows(field.raw().data(), field.box());
 }
 
 std::size_t PackExchanger::pack(const ArrayFields& fields) {
   BX_CHECK(fields.fields() == fields_,
            "field count does not match the exchanger's");
-  std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for (int f = 0; f < fields_; ++f)
-      for_each(m.sbox,
-               [&](const Vec3& p) { m.sbuf[at++] = fields.at(f, p); });
-    bytes += at * sizeof(double);
-  }
-  return bytes;
+  return copy_rows(fields.raw().data(), fields.box());
 }
 
 void PackExchanger::make_persistent(mpi::Comm& comm) {
@@ -150,27 +168,13 @@ void PackExchanger::finish(mpi::Comm& comm) {
 std::size_t PackExchanger::unpack(CellArray3& field) {
   BX_CHECK(fields_ == 1,
            "single-field unpack on a multi-field exchanger; pass ArrayFields");
-  std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for_each(m.rbox, [&](const Vec3& p) { field.at(p) = m.rbuf[at++]; });
-    bytes += at * sizeof(double);
-  }
-  return bytes;
+  return copy_rows(field.raw().data(), field.box());
 }
 
 std::size_t PackExchanger::unpack(ArrayFields& fields) {
   BX_CHECK(fields.fields() == fields_,
            "field count does not match the exchanger's");
-  std::size_t bytes = 0;
-  for (NMsg& m : msgs_) {
-    std::size_t at = 0;
-    for (int f = 0; f < fields_; ++f)
-      for_each(m.rbox,
-               [&](const Vec3& p) { fields.at(f, p) = m.rbuf[at++]; });
-    bytes += at * sizeof(double);
-  }
-  return bytes;
+  return copy_rows(fields.raw().data(), fields.box());
 }
 
 void PackExchanger::exchange(mpi::Comm& comm, CellArray3& field) {

@@ -48,7 +48,9 @@ class PackExchanger {
   /// message init; no datatypes, no views).
   [[nodiscard]] PlanCost setup_cost() const;
 
-  /// Copy surface cells into the send buffers; returns bytes copied.
+  /// Copy surface cells into the send buffers; returns bytes copied. The
+  /// field (or field set) must span the ghost frame [-ghost,
+  /// domain + ghost); pack and unpack copy one axis-0 row per copy.
   std::size_t pack(const CellArray3& field);
   /// Multi-field pack: each neighbor's buffer holds field 0's surface
   /// cells, then field 1's, ... — one buffer (one message) for all fields.
@@ -73,6 +75,14 @@ class PackExchanger {
   }
 
  private:
+  /// The row walk behind every pack and unpack overload: each neighbor's
+  /// send box (Slab = const double: slabs -> sbuf) or receive box (Slab =
+  /// double: rbuf -> slabs) in each of `fields_` field-major slabs over
+  /// `frame` starting at `slabs`, one axis-0 row per copy, filling the
+  /// buffer in (field, z, y) row order. Returns bytes copied.
+  template <typename Slab>
+  std::size_t copy_rows(Slab* slabs, const Box<3>& frame);
+
   struct NMsg {
     int rank;
     int send_tag, recv_tag;
@@ -80,6 +90,7 @@ class PackExchanger {
     std::vector<double> sbuf, rbuf;
   };
   int fields_ = 1;
+  Box<3> frame_;  ///< [-ghost, domain + ghost): every box lies inside
   std::vector<NMsg> msgs_;
   PersistentSet pset_;
   std::vector<mpi::Request> pending_;

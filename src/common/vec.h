@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -106,9 +107,28 @@ struct Box {
       if (p[i] < lo[i] || p[i] >= hi[i]) return false;
     return true;
   }
+  /// True when every cell of `o` lies inside this box (always, for an
+  /// empty `o`).
+  [[nodiscard]] bool contains(const Box& o) const {
+    if (o.empty()) return true;
+    for (int i = 0; i < D; ++i)
+      if (o.lo[i] < lo[i] || o.hi[i] > hi[i]) return false;
+    return true;
+  }
   [[nodiscard]] bool empty() const { return volume() == 0; }
   bool operator==(const Box& o) const = default;
 };
+
+/// The cells two boxes share (an empty box when they do not overlap).
+template <int D>
+Box<D> intersect(const Box<D>& a, const Box<D>& b) {
+  Box<D> r;
+  for (int i = 0; i < D; ++i) {
+    r.lo[i] = std::max(a.lo[i], b.lo[i]);
+    r.hi[i] = std::min(a.hi[i], b.hi[i]);
+  }
+  return r;
+}
 
 /// Iterate all positions of box `b` in lexicographic order (axis 0 fastest),
 /// calling `f(Vec<D>)`. Sender and receiver of an exchange both use this

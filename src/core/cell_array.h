@@ -41,13 +41,15 @@ using CellArray3 = CellArray<3>;
 /// Copy cells from `src` into field `field` of bricked storage. Only cells
 /// inside src's box that map onto allocated bricks are copied. Cell
 /// coordinates are subdomain-local: [0, domain) interior,
-/// [-ghost, domain+ghost) including the ghost frame.
+/// [-ghost, domain+ghost) including the ghost frame. Both copies walk the
+/// box brick by brick and move one axis-0 row of each brick per copy.
 template <int D>
 void cells_to_bricks(const BrickDecomp<D>& dec, const CellArray<D>& src,
                      BrickStorage& storage, int field);
 
 /// Copy field `field` of bricked storage into the cells of `dst` (over
-/// dst's whole box, which must map onto allocated bricks).
+/// dst's whole box, which must lie inside dec.cell_frame(); checked before
+/// any cell is written).
 template <int D>
 void bricks_to_cells(const BrickDecomp<D>& dec, const BrickStorage& storage,
                      int field, CellArray<D>& dst);

@@ -1,9 +1,19 @@
 #include "core/decomp.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "memmap/pagesize.h"
 
 namespace brickx {
+
+namespace {
+/// Floor division for possibly-negative cell coordinates (ghost cells have
+/// negative coordinates; C++ integer division truncates toward zero).
+constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+  return a >= 0 ? a / b : -((-a + b - 1) / b);
+}
+}  // namespace
 
 template <int D>
 BrickDecomp<D>::BrickDecomp(const Vec<D>& domain, std::int64_t ghost,
@@ -103,6 +113,18 @@ std::int32_t BrickDecomp<D>::brick_at(const Vec<D>& g) const {
   }
   return grid_to_storage_[static_cast<std::size_t>(
       linearize(g + gb_, grid_ext_))];
+}
+
+template <int D>
+Box<D> BrickDecomp<D>::brick_grid_range(const Box<D>& cells) const {
+  Box<D> r{};
+  if (cells.empty()) return r;  // the default box is empty
+  for (int a = 0; a < D; ++a) {
+    r.lo[a] = std::max(floor_div(cells.lo[a], brick_dims_[a]), -gb_[a]);
+    r.hi[a] = std::min(floor_div(cells.hi[a] - 1, brick_dims_[a]) + 1,
+                       n_[a] + gb_[a]);
+  }
+  return r;
 }
 
 template <int D>

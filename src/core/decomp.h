@@ -93,6 +93,17 @@ class BrickDecomp {
   /// Storage index of the brick at grid coordinate `g`, where interior
   /// bricks live in [0, n) and ghost bricks in [-gb, 0) and [n, n+gb).
   [[nodiscard]] std::int32_t brick_at(const Vec<D>& g) const;
+  /// Cell box the allocated bricks cover: [-ghost, domain + ghost).
+  [[nodiscard]] Box<D> cell_frame() const {
+    const Vec<D> g = Vec<D>::fill(ghost_);
+    return {g * -1, domain_ + g};
+  }
+  /// Half-open brick-grid range [lo, hi) of the bricks intersecting the
+  /// cell box `cells` (ghost coordinates allowed), clamped to the allocated
+  /// grid [-gb, n + gb); every brick in it is allocated. Empty when `cells`
+  /// is empty or lies entirely outside cell_frame(). The one cell-to-brick
+  /// mapping: the kernel engine and the cells<->bricks copies walk it.
+  [[nodiscard]] Box<D> brick_grid_range(const Box<D>& cells) const;
   /// Inverse of brick_at.
   [[nodiscard]] const Vec<D>& grid_of(std::int64_t storage_index) const {
     return grid_of_[static_cast<std::size_t>(storage_index)];

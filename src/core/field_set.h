@@ -75,7 +75,7 @@ class ArrayFields {
   [[nodiscard]] double& at(int f, const Vec3& p) {
     return field_base(f)[linearize(p - box_.lo, ext_)];
   }
-  [[nodiscard]] double at(int f, const Vec3& p) const {
+  [[nodiscard]] const double& at(int f, const Vec3& p) const {
     return field_base(f)[linearize(p - box_.lo, ext_)];
   }
 

@@ -68,9 +68,13 @@ Traffic unpadded(const X& x) {
 class BrickExchange : public Exchange {
  public:
   void write(int buf, int f, const CellArray3& cells) override {
+    // cells_to_bricks would drop the cells outside the frame instead.
+    BX_CHECK(dec_.cell_frame().contains(cells.box()),
+             "cell box reaches outside the ghost frame");
     cells_to_bricks(dec_, cells, store(buf), f);
   }
   void read(int buf, int f, CellArray3& cells) const override {
+    // bricks_to_cells checks the box against the same frame.
     bricks_to_cells(dec_, stores_[static_cast<std::size_t>(buf)], f, cells);
   }
 
@@ -349,11 +353,14 @@ class ShiftExchange final : public BrickExchange {
 /// fields) and the 26-direction neighbor table.
 class ArrayExchange : public Exchange {
  public:
+  // Whole rows at a time: every rank's set-up seeds its block through
+  // write, and per-cell addressing would dominate that copy.
   void write(int buf, int f, const CellArray3& cells) override {
-    // Whole rows at a time: every rank's set-up seeds its block through
-    // here, and per-cell addressing would dominate that copy.
     ArrayFields& a = slab(buf);
     const Box<3>& b = cells.box();
+    BX_CHECK(a.box().contains(b), "cell box reaches outside the ghost frame");
+    // An empty box passes wherever it sits, but its rows index nothing.
+    if (b.empty()) return;
     const std::int64_t n = b.extent()[0];
     const double* src = cells.raw().data();
     for (std::int64_t z = b.lo[2]; z < b.hi[2]; ++z)
@@ -362,7 +369,14 @@ class ArrayExchange : public Exchange {
   }
   void read(int buf, int f, CellArray3& cells) const override {
     const ArrayFields& a = fields_[static_cast<std::size_t>(buf)];
-    for_each(cells.box(), [&](const Vec3& p) { cells.at(p) = a.at(f, p); });
+    const Box<3>& b = cells.box();
+    BX_CHECK(a.box().contains(b), "cell box reaches outside the ghost frame");
+    if (b.empty()) return;
+    const std::int64_t n = b.extent()[0];
+    double* dst = cells.raw().data();
+    for (std::int64_t z = b.lo[2]; z < b.hi[2]; ++z)
+      for (std::int64_t y = b.lo[1]; y < b.hi[1]; ++y, dst += n)
+        std::copy_n(&a.at(f, Vec3{b.lo[0], y, z}), n, dst);
   }
 
   void stencil(int in, const Box<3>& box, bool use125, bool naive) override {

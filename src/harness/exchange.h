@@ -51,7 +51,7 @@ struct Traffic {
 /// owns. `buf` (0 or 1) selects the buffer: the timestep loop computes from
 /// buffer `in` into `1 - in` and exchanges the buffer it reads next. Cell
 /// coordinates are subdomain-local: [0, subdomain) is the interior,
-/// [-ghost, subdomain + ghost) includes the ghost frame.
+/// [-ghost, subdomain + ghost) the ghost frame around it.
 class Exchange {
  public:
   Exchange() = default;
@@ -60,9 +60,12 @@ class Exchange {
   virtual ~Exchange();
 
   // ---- field data -------------------------------------------------------
-  /// Copy `cells` (over its own box) into field `f` of buffer `buf`.
+  /// Copy `cells` (over its own box) into field `f` of buffer `buf`. Every
+  /// method requires the box to lie inside the ghost frame and throws
+  /// brickx::Error, before touching any cell, when it does not.
   virtual void write(int buf, int f, const CellArray3& cells) = 0;
-  /// Fill `cells` (over its own box) from field `f` of buffer `buf`.
+  /// Fill `cells` (over its own box) from field `f` of buffer `buf`; the
+  /// same box contract as write.
   virtual void read(int buf, int f, CellArray3& cells) const = 0;
   /// Apply the 7- or 125-point stencil to every field over `box`, from
   /// buffer `in` into buffer `1 - in` (naive: the per-access reference

@@ -34,6 +34,21 @@ double init_val(const Vec3& g, int f = 0) {
   return static_cast<double>(h % 4096) / 4096.0;
 }
 
+/// init_val over the axis-0 row of `n` cells starting at global coordinate
+/// `g`, into `out`. The hash XORs one product per axis, so the y, z and
+/// field terms are computed once per row; validate() checks every seeded
+/// cell against init_val's per-cell definition.
+void init_row(const Vec3& g, int f, std::int64_t n, double* out) {
+  const std::uint64_t yzf = static_cast<std::uint64_t>(g[1]) * 19349663u ^
+                            static_cast<std::uint64_t>(g[2]) * 83492791u ^
+                            static_cast<std::uint64_t>(f) * 2654435761u;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint64_t h =
+        static_cast<std::uint64_t>(g[0] + i) * 73856093u ^ yzf;
+    out[i] = static_cast<double>(h % 4096) / 4096.0;
+  }
+}
+
 /// Phase seconds: one step's deltas, or a rank's measured totals.
 struct Phases {
   double calc = 0, pack = 0, call = 0, wait = 0;
@@ -291,9 +306,10 @@ class RankRun {
       for (std::int64_t z = 0; z < N[2]; z += kSlab) {
         CellArray3 seed(
             Box<3>{{0, 0, z}, {N[0], N[1], std::min(z + kSlab, N[2])}});
-        for_each(seed.box(), [&](const Vec3& p) {
-          seed.at(p) = init_val(p + offset_, f);
-        });
+        double* row = seed.raw().data();
+        for (std::int64_t zz = z; zz < seed.box().hi[2]; ++zz)
+          for (std::int64_t y = 0; y < N[1]; ++y, row += N[0])
+            init_row(Vec3{0, y, zz} + offset_, f, N[0], row);
         ex_->write(0, f, seed);
       }
     setup_plans();

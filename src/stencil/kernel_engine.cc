@@ -13,12 +13,6 @@ namespace brickx::stencil {
 
 namespace {
 
-/// Floor division for possibly-negative cell coordinates (ghost cells have
-/// negative coordinates; C++ integer division truncates toward zero).
-constexpr std::int64_t floor_div(std::int64_t a, std::int64_t b) {
-  return a >= 0 ? a / b : -((-a + b - 1) / b);
-}
-
 /// Per-axis tile segmentation for the halo gather: segment s in {0, 1, 2}
 /// covers the low halo, the brick body, and the high halo. `B` is the brick
 /// extent on the axis, `R` the stencil radius.
@@ -271,32 +265,7 @@ bool simd_dispatch(const Brick<BK, BJ, BI>& out) {
   }
 }
 
-/// Clip the cell box of the brick at grid coordinate `g` against
-/// `out_cells`. Non-empty for every brick inside brick_grid_range().
-template <int BK, int BJ, int BI>
-Box<3> clip_brick(const Vec3& base, const Box<3>& out_cells) {
-  Box<3> clip{base, base + Vec3{BI, BJ, BK}};
-  for (int a = 0; a < 3; ++a) {
-    clip.lo[a] = std::max(clip.lo[a], out_cells.lo[a]);
-    clip.hi[a] = std::min(clip.hi[a], out_cells.hi[a]);
-  }
-  return clip;
-}
-
 }  // namespace
-
-Box<3> brick_grid_range(const BrickDecomp<3>& dec, const Box<3>& out_cells) {
-  Box<3> r{};
-  if (out_cells.empty()) return r;  // default box is empty
-  const Vec3& B = dec.brick_dims();
-  const Vec3& n = dec.brick_grid();
-  const Vec3& gb = dec.ghost_layers();
-  for (int a = 0; a < 3; ++a) {
-    r.lo[a] = std::max(floor_div(out_cells.lo[a], B[a]), -gb[a]);
-    r.hi[a] = std::min(floor_div(out_cells.hi[a] - 1, B[a]) + 1, n[a] + gb[a]);
-  }
-  return r;
-}
 
 const char* simd_storage_reason(const void* base, std::size_t brick_bytes,
                                 std::size_t page_bytes,
@@ -318,7 +287,7 @@ void engine_apply7_simd(const BrickDecomp<3>& dec,
                         const Brick<BK, BJ, BI>& in, const Box<3>& out_cells) {
   const auto& c = Stencil7::c;
   const Vec3 B{BI, BJ, BK};
-  const Box<3> gr = brick_grid_range(dec, out_cells);
+  const Box<3> gr = dec.brick_grid_range(out_cells);
   if (gr.empty()) return;
   const bool vec = simd_dispatch<BK, BJ, BI, W>(out);
   alignas(simd::kAlign) double tile[(BK + 2) * (BJ + 2) * (BI + 2)];
@@ -328,7 +297,7 @@ void engine_apply7_simd(const BrickDecomp<3>& dec,
         const Vec3 g{gx, gy, gz};
         const std::int64_t b = dec.brick_at(g);
         const Vec3 base = g * B;
-        const Box<3> clip = clip_brick<BK, BJ, BI>(base, out_cells);
+        const Box<3> clip = intersect(Box<3>{base, base + B}, out_cells);
         const bool full = clip.lo == base && clip.hi == base + B;
         if (full &&
             gather_star1<BK, BJ, BI>(in, in.info().adjacent(b), tile)) {
@@ -369,7 +338,7 @@ void engine_apply125_simd(const BrickDecomp<3>& dec,
                 "brick extents must cover the radius-2 neighborhood");
   const Vec3 B{BI, BJ, BK};
   const auto& w = Stencil125::taps();
-  const Box<3> gr = brick_grid_range(dec, out_cells);
+  const Box<3> gr = dec.brick_grid_range(out_cells);
   if (gr.empty()) return;
   const bool vec = simd_dispatch<BK, BJ, BI, W>(out);
   alignas(simd::kAlign) double tile[(BK + 4) * (BJ + 4) * (BI + 4)];
@@ -379,7 +348,7 @@ void engine_apply125_simd(const BrickDecomp<3>& dec,
         const Vec3 g{gx, gy, gz};
         const std::int64_t b = dec.brick_at(g);
         const Vec3 base = g * B;
-        const Box<3> clip = clip_brick<BK, BJ, BI>(base, out_cells);
+        const Box<3> clip = intersect(Box<3>{base, base + B}, out_cells);
         const bool full = clip.lo == base && clip.hi == base + B;
         if (full &&
             gather_cube<BK, BJ, BI, 2>(in, in.info().adjacent(b), tile)) {

@@ -18,8 +18,9 @@ namespace brickx::stencil {
 /// dx fastest — is preserved exactly):
 ///
 ///  1. Brick-range pruning: the brick-grid range intersecting `out_cells`
-///     is derived arithmetically, so only overlapping bricks are visited
-///     instead of every allocated brick of the decomposition.
+///     is derived arithmetically (BrickDecomp::brick_grid_range), so only
+///     overlapping bricks are visited instead of every allocated brick of
+///     the decomposition.
 ///  2. Interior/boundary split: a brick fully covered by `out_cells` whose
 ///     required neighbors all exist resolves its neighbor-brick base
 ///     pointers once (BrickInfo::adjacent), gathers the radius-r halo into
@@ -29,12 +30,6 @@ namespace brickx::stencil {
 ///     bricks keep the clipped per-access `.at()` path.
 ///  3. Row-pointer array kernels: the lexicographic (CellArray3) kernels
 ///     hoist per-(z, y) row base pointers out of the contiguous x loop.
-
-/// Half-open brick-grid range [lo, hi) of bricks intersecting `out_cells`
-/// (cell coordinates; ghost coordinates allowed), clamped to the allocated
-/// grid [-gb, n + gb). Empty when `out_cells` is empty or lies entirely
-/// outside the allocated frame.
-Box<3> brick_grid_range(const BrickDecomp<3>& dec, const Box<3>& out_cells);
 
 /// Fast 7-point / 125-point brick kernels; drop-in replacements for the
 /// naive apply7_bricks / apply125_bricks bodies (stencils.cc delegates

@@ -88,11 +88,7 @@ void apply7_bricks_naive(const BrickDecomp<3>& dec,
   const Vec3 B{BI, BJ, BK};
   for (std::int64_t b = 0; b < dec.total_brick_count(); ++b) {
     const Vec3 base = dec.grid_of(b) * B;
-    Box<3> clip{base, base + B};
-    for (int a = 0; a < 3; ++a) {
-      clip.lo[a] = std::max(clip.lo[a], out_cells.lo[a]);
-      clip.hi[a] = std::min(clip.hi[a], out_cells.hi[a]);
-    }
+    const Box<3> clip = intersect(Box<3>{base, base + B}, out_cells);
     if (clip.empty()) continue;
     for (int k = static_cast<int>(clip.lo[2] - base[2]);
          k < static_cast<int>(clip.hi[2] - base[2]); ++k)
@@ -122,11 +118,7 @@ void apply125_bricks_naive(const BrickDecomp<3>& dec,
   const auto& w = Stencil125::taps();  // 125 weights in dz-dy-dx order
   for (std::int64_t b = 0; b < dec.total_brick_count(); ++b) {
     const Vec3 base = dec.grid_of(b) * B;
-    Box<3> clip{base, base + B};
-    for (int a = 0; a < 3; ++a) {
-      clip.lo[a] = std::max(clip.lo[a], out_cells.lo[a]);
-      clip.hi[a] = std::min(clip.hi[a], out_cells.hi[a]);
-    }
+    const Box<3> clip = intersect(Box<3>{base, base + B}, out_cells);
     if (clip.empty()) continue;
     for (int k = static_cast<int>(clip.lo[2] - base[2]);
          k < static_cast<int>(clip.hi[2] - base[2]); ++k)

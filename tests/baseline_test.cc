@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
+#include "cell_array_reference.h"
+#include "common/rng.h"
 #include "core/cell_array.h"
+#include "core/field_set.h"
 #include "simmpi/cart.h"
 
 namespace brickx::baseline {
@@ -140,6 +147,94 @@ TEST(PackExchanger, RepeatedExchangesStable) {
     const int diag = cart.neighbor(BitSet{-1, -2, -3});
     EXPECT_EQ(f.at({-1, -1, -1}), static_cast<double>(diag));
   });
+}
+
+std::vector<double> random_doubles(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform() - 0.5;
+  return v;
+}
+
+/// PackExchanger's row copies against the per-cell reference. Rank 0 packs
+/// and unpacks with an exchanger whose 26 neighbors are all rank 1. Rank 1
+/// receives rank 0's raw send buffers, which must equal the reference
+/// packs, and sends back seeded receive buffers; rank 0's unpacked field
+/// must equal the reference unpack of them. Both ranks rebuild rank 0's
+/// field and the receive buffers from the same seeds.
+template <typename Fields>
+void expect_rows_match_reference(std::int64_t g, const Fields& shape) {
+  const Vec3 N{16, 18, 20};
+  const auto nf = static_cast<int>(
+      shape.raw().size() / static_cast<std::size_t>(shape.box().volume()));
+  const auto dirs = Cart<3>::all_directions();
+  auto recv_tag = [&](std::size_t v) {
+    return static_cast<int>(
+        std::find(dirs.begin(), dirs.end(), dirs[v].flipped()) - dirs.begin());
+  };
+  auto incoming = [&](std::size_t v) {
+    return random_doubles(
+        static_cast<std::size_t>(recv_box(dirs[v], N, g).volume() * nf),
+        100 + v);
+  };
+  Runtime rt(2, NetModel{});
+  rt.run([&](Comm& comm) {
+    Fields field = shape;
+    field.raw() = random_doubles(field.raw().size(), 1);
+    if (comm.rank() == 0) {
+      PackExchanger ex(N, g, dirs, std::vector<int>(dirs.size(), 1), nf);
+      Fields want = field;
+      std::size_t bytes = 0;
+      for (std::size_t v = 0; v < dirs.size(); ++v) {
+        bytes += reference::pack_box(field, send_box(dirs[v], N, g)).size() *
+                 sizeof(double);
+        reference::unpack_box(incoming(v), recv_box(dirs[v], N, g), want);
+      }
+      EXPECT_EQ(ex.pack(field), bytes);
+      ex.start(comm);
+      ex.finish(comm);
+      EXPECT_EQ(ex.unpack(field), bytes);
+      EXPECT_EQ(std::memcmp(field.raw().data(), want.raw().data(),
+                            want.raw().size() * sizeof(double)),
+                0);
+    } else {
+      for (std::size_t v = 0; v < dirs.size(); ++v) {
+        const std::vector<double> want =
+            reference::pack_box(field, send_box(dirs[v], N, g));
+        std::vector<double> got(want.size());
+        comm.recv(got.data(), got.size() * sizeof(double), 0,
+                  static_cast<int>(v));
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "send buffer of direction " << dirs[v].str();
+      }
+      for (std::size_t v = 0; v < dirs.size(); ++v) {
+        const std::vector<double> buf = incoming(v);
+        comm.send(buf.data(), buf.size() * sizeof(double), 0, recv_tag(v));
+      }
+    }
+  });
+}
+
+TEST(PackExchanger, RowCopiesMatchPerCellReference) {
+  // Ghost 1 and 2 make the x faces' rows one and two cells long.
+  for (std::int64_t g : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "ghost " << g);
+    const Box<3> frame{Vec3::fill(-g), Vec3{16, 18, 20} + Vec3::fill(g)};
+    expect_rows_match_reference(g, CellArray3(frame));
+    expect_rows_match_reference(g, ArrayFields(frame, 1));
+    expect_rows_match_reference(g, ArrayFields(frame, 3));
+  }
+}
+
+TEST(PackExchanger, RejectsFieldsSmallerThanTheGhostFrame) {
+  const Vec3 N{8, 8, 8};
+  const auto dirs = Cart<3>::all_directions();
+  PackExchanger ex(N, 2, dirs, std::vector<int>(dirs.size(), 0));
+  CellArray3 interior(Box<3>{{0, 0, 0}, N});
+  EXPECT_THROW(ex.pack(interior), Error);
+  EXPECT_THROW(ex.unpack(interior), Error);
 }
 
 }  // namespace

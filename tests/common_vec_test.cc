@@ -44,6 +44,19 @@ TEST(Box, VolumeAndContains) {
   EXPECT_FALSE(b.contains(Vec3{0, 1, 1}));
 }
 
+TEST(Box, ContainsBoxAndIntersect) {
+  const Box<3> b{{-2, 0, 0}, {4, 3, 2}};
+  EXPECT_TRUE(b.contains(b));
+  EXPECT_TRUE(b.contains(Box<3>{{-2, 1, 0}, {0, 3, 1}}));
+  EXPECT_FALSE(b.contains(Box<3>{{-3, 0, 0}, {4, 3, 2}}));
+  EXPECT_FALSE(b.contains(Box<3>{{-2, 0, 0}, {4, 3, 3}}));
+  // Empty boxes hold no cell, wherever they sit.
+  EXPECT_TRUE(b.contains(Box<3>{{9, 9, 9}, {9, 12, 12}}));
+  EXPECT_EQ(intersect(b, Box<3>{{0, -5, 1}, {9, 2, 9}}),
+            (Box<3>{{0, 0, 1}, {4, 2, 2}}));
+  EXPECT_TRUE(intersect(b, Box<3>{{5, 0, 0}, {6, 3, 2}}).empty());
+}
+
 TEST(Box, EmptyWhenDegenerate) {
   Box<2> b{{3, 0}, {3, 5}};
   EXPECT_TRUE(b.empty());

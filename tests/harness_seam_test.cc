@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -23,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
+#include "core/cell_array.h"
 #include "harness/exchange.h"
 #include "harness/experiment.h"
 #include "netsim/fabric.h"
@@ -30,6 +33,7 @@
 #include "obs/analyze.h"
 #include "obs/export.h"
 #include "obs/session.h"
+#include "simmpi/cart.h"
 #include "simmpi/fault.h"
 
 namespace brickx::harness {
@@ -350,6 +354,39 @@ TEST(RuntimeBuilder, PlacementSeesTheExchangeGraph) {
     EXPECT_LE(netsim::cut_bytes(fab.rank_node(), graph),
               netsim::cut_bytes(netsim::block_map(64, 4), graph))
         << netsim::map_name(kind);
+  }
+}
+
+// Exchange::write/read take cell boxes inside the ghost frame only: a box
+// one cell past it on either side must throw, before touching a cell, for
+// every method's storage family (bricks, mmap'd bricks, array slabs).
+TEST(ExchangeSeam, EveryMethodRejectsBoxesOutsideTheFrame) {
+  const Geometry geo{.subdomain = {16, 16, 16}, .ghost = 4, .brick = {4, 4, 4}};
+  const Box<3> frame{Vec3::fill(-4), Vec3::fill(20)};
+  for (Method m : {Method::Yask, Method::MpiTypes, Method::Basic,
+                   Method::Layout, Method::MemMap, Method::Shift,
+                   Method::Network}) {
+    SCOPED_TRACE(method_name(m));
+    Config cfg = base(m);
+    cfg.rank_dims = {1, 1, 1};
+    make_runtime(cfg)->run([&](mpi::Comm& comm) {
+      const mpi::Cart<3> cart(comm, cfg.rank_dims);
+      const auto ex = make_exchange(m, geo, cart);
+      CellArray3 whole(frame);
+      EXPECT_NO_THROW(ex->write(0, 0, whole));
+      EXPECT_NO_THROW(ex->read(0, 0, whole));
+      for (const Box<3>& past : {Box<3>{frame.lo - Vec3::fill(1), frame.hi},
+                                 Box<3>{frame.lo, frame.hi + Vec3::fill(1)}}) {
+        CellArray3 cells(past);
+        std::fill(cells.raw().begin(), cells.raw().end(), 1.0);
+        EXPECT_THROW(ex->write(0, 0, cells), Error);
+        EXPECT_THROW(ex->read(0, 0, cells), Error);
+      }
+      ex->read(0, 0, whole);
+      EXPECT_EQ(std::count(whole.raw().begin(), whole.raw().end(), 0.0),
+                frame.volume())
+          << "a rejected write changed the field";
+    });
   }
 }
 

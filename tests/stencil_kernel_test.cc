@@ -122,41 +122,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(i.param));
     });
 
-TEST(BrickGridRange, MatchesExhaustiveScan) {
-  BrickDecomp<3> dec({16, 16, 16}, 4, {4, 4, 4}, surface3d());
-  const Vec3 B = dec.brick_dims();
-  Rng rng(42);
-  std::vector<Box<3>> boxes = {
-      {{0, 0, 0}, {16, 16, 16}},  {{-4, -4, -4}, {20, 20, 20}},
-      {{-3, 1, 5}, {2, 4, 17}},   {{0, 0, 0}, {1, 1, 1}},
-      {{0, 0, 0}, {0, 0, 0}},     {{-20, -20, -20}, {-18, -18, -18}},
-      {{30, 30, 30}, {40, 40, 40}}};
-  for (int t = 0; t < 20; ++t) {
-    Box<3> b;
-    for (int a = 0; a < 3; ++a) {
-      b.lo[a] = -6 + static_cast<std::int64_t>(rng.below(28));
-      b.hi[a] = b.lo[a] + static_cast<std::int64_t>(rng.below(12));
-    }
-    boxes.push_back(b);
-  }
-  for (const Box<3>& box : boxes) {
-    const Box<3> gr = brick_grid_range(dec, box);
-    // Every allocated brick intersecting `box` is inside the range, and
-    // every brick inside the range intersects `box`.
-    for (std::int64_t s = 0; s < dec.total_brick_count(); ++s) {
-      const Vec3 g = dec.grid_of(s);
-      Box<3> cells{g * B, g * B + B};
-      bool overlaps = true;
-      for (int a = 0; a < 3; ++a)
-        overlaps = overlaps && std::max(cells.lo[a], box.lo[a]) <
-                                   std::min(cells.hi[a], box.hi[a]);
-      EXPECT_EQ(overlaps, gr.contains(g))
-          << "brick " << s << " box lo=" << box.lo[0] << "," << box.lo[1]
-          << "," << box.lo[2];
-    }
-  }
-}
-
 TEST(ArrayKernels, FastMatchesNaiveBitExactly) {
   Rng rng(7);
   const Box<3> frame{{-5, -5, -5}, {15, 15, 15}};
