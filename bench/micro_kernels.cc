@@ -9,11 +9,16 @@
 //
 //   --self-check           bit-exactness sweep: fast vs naive kernels over
 //                          randomized output boxes, every kernel × brick
-//                          size × storage family; exits non-zero on any
-//                          mismatch (the `perf`-labeled ctest smoke).
+//                          size × storage family, plus every ghost-expansion
+//                          step of the k1_kernels geometry; exits non-zero
+//                          on any mismatch (the `perf`-labeled ctest smoke).
 //   --json-out=FILE        measure cells/s for every kernel × brick size ×
-//                          path and write the BENCH_kernels.json trajectory
-//                          point (scripts/bench_perf.sh).
+//                          path × shape and write the BENCH_kernels.json
+//                          trajectory point (scripts/bench_perf.sh). Shape
+//                          `cube` applies the kernel to the whole n^3
+//                          domain, where every brick is whole; `expansion`
+//                          to one exchange period of ghost-expansion boxes,
+//                          the boxes harness runs compute.
 //
 // Without either flag the binary behaves as a plain google-benchmark
 // suite.
@@ -24,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/array_exchange.h"
@@ -75,6 +81,73 @@ struct BrickSetup {
     }
   }
 };
+
+/// One brick-kernel application along `path`: "naive" (per-access), "fast"
+/// (the scalar tiles, forced W = 1) or "simd" (the build's active width).
+template <int B>
+void apply_brick_path(std::string_view path, bool use125,
+                      const BrickDecomp<3>& dec, const Brick<B, B, B>& out,
+                      const Brick<B, B, B>& in, const Box<3>& box) {
+  if (path == "naive") {
+    if (use125) {
+      stencil::apply125_bricks_naive<B, B, B>(dec, out, in, box);
+    } else {
+      stencil::apply7_bricks_naive<B, B, B>(dec, out, in, box);
+    }
+  } else if (path == "simd") {
+    if (use125) {
+      stencil::engine_apply125_simd<B, B, B, simd::kActiveWidth>(dec, out, in,
+                                                                 box);
+    } else {
+      stencil::engine_apply7_simd<B, B, B, simd::kActiveWidth>(dec, out, in,
+                                                               box);
+    }
+  } else if (use125) {
+    stencil::engine_apply125_simd<B, B, B, 1>(dec, out, in, box);
+  } else {
+    stencil::engine_apply7_simd<B, B, B, 1>(dec, out, in, box);
+  }
+}
+
+/// One array-kernel application, naive or fast.
+void apply_array_path(bool naive, bool use125, const CellArray3& in,
+                      CellArray3& out, const Box<3>& box) {
+  if (use125) {
+    if (naive) {
+      stencil::apply125_array_naive(in, out, box);
+    } else {
+      stencil::apply125_array(in, out, box);
+    }
+  } else if (naive) {
+    stencil::apply7_array_naive(in, out, box);
+  } else {
+    stencil::apply7_array(in, out, box);
+  }
+}
+
+/// The `expansion` shape: the k1_kernels geometry (a 24^3 subdomain,
+/// brick 8, ghost 8) and the output boxes of one exchange period under
+/// ghost-cell expansion, steps_per_exchange(8, r) of them — most of their
+/// cells lie in clipped ghost-frame bricks.
+constexpr std::int64_t kExpansionN = 24;
+constexpr int kExpansionBrick = 8;
+
+std::vector<Box<3>> expansion_boxes(bool use125) {
+  const std::int64_t g = kExpansionBrick, r = use125 ? 2 : 1;
+  std::vector<Box<3>> boxes;
+  for (std::int64_t s = 0; s < stencil::steps_per_exchange(g, r); ++s)
+    boxes.push_back(stencil::expansion_output_box<3>(
+        Vec3::fill(kExpansionN), g, r, s));
+  return boxes;
+}
+
+/// Random lexicographic input over the expansion geometry's cell frame.
+CellArray3 expansion_array_input(const BrickDecomp<3>& dec) {
+  CellArray3 in(dec.cell_frame());
+  Rng rng(0xe4a1);
+  for_each(in.box(), [&](const Vec3& p) { in.at(p) = rng.uniform() - 0.5; });
+  return in;
+}
 
 // ---- google-benchmark registrations (interactive use) ----------------------
 
@@ -285,6 +358,44 @@ bool check_array_paths(bool use125) {
   return true;
 }
 
+/// Every ghost-expansion step of the k1_kernels geometry: the scalar and
+/// active-width engines vs the naive brick kernel, and the array kernel vs
+/// its naive counterpart, over the same boxes.
+bool check_expansion(bool use125) {
+  constexpr int B = kExpansionBrick;
+  BrickSetup s(kExpansionN, B);
+  Brick<B, B, B> bin(&s.info, &s.in, 0);
+  const CellArray3 ain = expansion_array_input(s.dec);
+  for (const Box<3>& box : expansion_boxes(use125)) {
+    BrickStorage naive = s.dec.allocate(1);
+    Brick<B, B, B> bn(&s.info, &naive, 0);
+    apply_brick_path<B>("naive", use125, s.dec, bn, bin, box);
+    for (const char* path : {"fast", "simd"}) {
+      BrickStorage o = s.dec.allocate(1);
+      Brick<B, B, B> bo(&s.info, &o, 0);
+      apply_brick_path<B>(path, use125, s.dec, bo, bin, box);
+      if (std::memcmp(o.data(), naive.data(), o.bytes()) != 0) {
+        std::fprintf(stderr,
+                     "self-check FAILED: expansion %s use125=%d box.lo=%lld\n",
+                     path, use125 ? 1 : 0,
+                     static_cast<long long>(box.lo[0]));
+        return false;
+      }
+    }
+    CellArray3 af(ain.box()), an(ain.box());
+    apply_array_path(false, use125, ain, af, box);
+    apply_array_path(true, use125, ain, an, box);
+    if (std::memcmp(af.raw().data(), an.raw().data(),
+                    af.raw().size() * sizeof(double)) != 0) {
+      std::fprintf(stderr,
+                   "self-check FAILED: expansion array use125=%d box.lo=%lld\n",
+                   use125 ? 1 : 0, static_cast<long long>(box.lo[0]));
+      return false;
+    }
+  }
+  return true;
+}
+
 bool run_self_check() {
   bool ok = true;
   ok = check_brick_paths<4>(false, 11) && ok;
@@ -293,6 +404,8 @@ bool run_self_check() {
   ok = check_brick_paths<8>(true, 14) && ok;
   ok = check_array_paths(false) && ok;
   ok = check_array_paths(true) && ok;
+  ok = check_expansion(false) && ok;
+  ok = check_expansion(true) && ok;
   std::printf("self-check: %s\n", ok ? "pass" : "FAIL");
   return ok;
 }
@@ -312,9 +425,11 @@ struct KernelPoint {
   int width = 0;
   /// Coupled AoSoA fields evolved per application (cells scales with it).
   int fields = 1;
+  /// "cube" (the whole n^3 domain) or "expansion" (expansion_boxes).
+  const char* shape = "cube";
 };
 
-/// Time `fn` (one full-domain kernel application over `cells` cells),
+/// Time `fn` (one application of a kernel to `cells` cells),
 /// doubling the batch until it runs for at least `min_s` seconds.
 template <typename F>
 void measure(KernelPoint& pt, std::int64_t cells, F&& fn) {
@@ -340,6 +455,17 @@ void measure(KernelPoint& pt, std::int64_t cells, F&& fn) {
   }
 }
 
+/// Vector lanes of a brick `path` (KernelPoint::width).
+int path_width(std::string_view path) {
+  return path == "naive" ? 0 : (path == "simd" ? simd::kActiveWidth : 1);
+}
+
+/// Vector lanes of the fast array kernel: the 125-point rows run at the
+/// active width, the 7-point rows are scalar (autovectorized).
+int array_width(bool naive, bool use125) {
+  return naive ? 0 : (use125 ? simd::kActiveWidth : 1);
+}
+
 template <int B>
 void measure_bricks(std::vector<KernelPoint>& out, std::int64_t n) {
   BrickSetup s(n, B);
@@ -351,29 +477,10 @@ void measure_bricks(std::vector<KernelPoint>& out, std::int64_t n) {
   // All three are bit-identical; only throughput differs.
   for (bool use125 : {false, true}) {
     for (const char* path : {"naive", "fast", "simd"}) {
-      KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, path, 0, 0, 0,
-                     0,     1};
-      const bool naive = std::strcmp(path, "naive") == 0;
-      const bool vec = std::strcmp(path, "simd") == 0;
-      pt.width = naive ? 0 : (vec ? simd::kActiveWidth : 1);
+      KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, path};
+      pt.width = path_width(path);
       measure(pt, cells, [&] {
-        if (use125) {
-          if (naive) {
-            stencil::apply125_bricks_naive<B, B, B>(s.dec, bout, bin, box);
-          } else if (vec) {
-            stencil::engine_apply125_simd<B, B, B, simd::kActiveWidth>(
-                s.dec, bout, bin, box);
-          } else {
-            stencil::engine_apply125_simd<B, B, B, 1>(s.dec, bout, bin, box);
-          }
-        } else if (naive) {
-          stencil::apply7_bricks_naive<B, B, B>(s.dec, bout, bin, box);
-        } else if (vec) {
-          stencil::engine_apply7_simd<B, B, B, simd::kActiveWidth>(s.dec, bout,
-                                                                   bin, box);
-        } else {
-          stencil::engine_apply7_simd<B, B, B, 1>(s.dec, bout, bin, box);
-        }
+        apply_brick_path<B>(path, use125, s.dec, bout, bin, box);
         benchmark::ClobberMemory();
       });
       out.push_back(pt);
@@ -430,19 +537,48 @@ void measure_arrays(std::vector<KernelPoint>& out, std::int64_t n) {
   for (bool use125 : {false, true}) {
     for (bool naive : {true, false}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", "array", 0,
-                     naive ? "naive" : "fast", 0, 0, 0, naive ? 0 : 1, 1};
+                     naive ? "naive" : "fast"};
+      pt.width = array_width(naive, use125);
       measure(pt, cells, [&] {
-        if (use125) {
-          if (naive) {
-            stencil::apply125_array_naive(in, o, box);
-          } else {
-            stencil::apply125_array(in, o, box);
-          }
-        } else if (naive) {
-          stencil::apply7_array_naive(in, o, box);
-        } else {
-          stencil::apply7_array(in, o, box);
-        }
+        apply_array_path(naive, use125, in, o, box);
+        benchmark::ClobberMemory();
+      });
+      out.push_back(pt);
+    }
+  }
+}
+
+/// The `expansion` shape: one exchange period of expansion_boxes per
+/// application, over brick-8 storage (every path) and array storage.
+void measure_expansion(std::vector<KernelPoint>& out) {
+  constexpr int B = kExpansionBrick;
+  BrickSetup s(kExpansionN, B);
+  Brick<B, B, B> bin(&s.info, &s.in, 0), bout(&s.info, &s.out, 0);
+  const CellArray3 ain = expansion_array_input(s.dec);
+  CellArray3 aout(ain.box());
+  for (bool use125 : {false, true}) {
+    const std::vector<Box<3>> boxes = expansion_boxes(use125);
+    std::int64_t cells = 0;
+    for (const Box<3>& b : boxes) cells += b.volume();
+    const char* kernel = use125 ? "125pt" : "7pt";
+    for (const char* path : {"naive", "fast", "simd"}) {
+      KernelPoint pt{kernel, "brick", B, path};
+      pt.width = path_width(path);
+      pt.shape = "expansion";
+      measure(pt, cells, [&] {
+        for (const Box<3>& b : boxes)
+          apply_brick_path<B>(path, use125, s.dec, bout, bin, b);
+        benchmark::ClobberMemory();
+      });
+      out.push_back(pt);
+    }
+    for (bool naive : {true, false}) {
+      KernelPoint pt{kernel, "array", 0, naive ? "naive" : "fast"};
+      pt.width = array_width(naive, use125);
+      pt.shape = "expansion";
+      measure(pt, cells, [&] {
+        for (const Box<3>& b : boxes)
+          apply_array_path(naive, use125, ain, aout, b);
         benchmark::ClobberMemory();
       });
       out.push_back(pt);
@@ -452,11 +588,12 @@ void measure_arrays(std::vector<KernelPoint>& out, std::int64_t n) {
 
 double find_cells_per_s(const std::vector<KernelPoint>& pts,
                         const char* kernel, const char* storage, int brick,
-                        const char* path, int fields = 1) {
+                        const char* path, const char* shape = "cube") {
   for (const auto& p : pts)
     if (std::strcmp(p.kernel, kernel) == 0 &&
         std::strcmp(p.storage, storage) == 0 && p.brick == brick &&
-        std::strcmp(p.path, path) == 0 && p.fields == fields)
+        std::strcmp(p.path, path) == 0 && p.fields == 1 &&
+        std::strcmp(p.shape, shape) == 0)
       return p.cells_per_s;
   return 0;
 }
@@ -468,6 +605,7 @@ int write_json(const std::string& file, bool self_check_passed) {
   measure_bricks<8>(pts, n);
   measure_arrays(pts, n);
   measure_fields(pts, n);
+  measure_expansion(pts);
 
   FILE* f = std::fopen(file.c_str(), "w");
   if (!f) {
@@ -477,8 +615,9 @@ int write_json(const std::string& file, bool self_check_passed) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_kernels\",\n");
   // v2: build provenance block, per-result width/fields axes, the "simd"
-  // path, and simd-vs-fast speedup ratios (DESIGN.md §16).
-  std::fprintf(f, "  \"schema_version\": 2,\n");
+  // path, and simd-vs-fast speedup ratios (DESIGN.md §16). v3: the
+  // per-result shape axis ("cube" | "expansion") and expansion ratios.
+  std::fprintf(f, "  \"schema_version\": 3,\n");
   std::fprintf(f, "  \"build_type\": \"%s\",\n", BRICKX_BUILD_TYPE);
   // Provenance: trajectory points are only comparable when the toolchain
   // and vector configuration match — stamp everything that moves cells/s.
@@ -500,63 +639,76 @@ int write_json(const std::string& file, bool self_check_passed) {
     const KernelPoint& p = pts[i];
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"storage\": \"%s\", \"brick\": "
-                 "%d, \"path\": \"%s\", \"width\": %d, \"fields\": %d, "
-                 "\"cells_per_s\": %.6e, \"iters\": %lld, \"seconds\": "
-                 "%.4f}%s\n",
-                 p.kernel, p.storage, p.brick, p.path, p.width, p.fields,
+                 "%d, \"path\": \"%s\", \"shape\": \"%s\", \"width\": %d, "
+                 "\"fields\": %d, \"cells_per_s\": %.6e, \"iters\": %lld, "
+                 "\"seconds\": %.4f}%s\n",
+                 p.kernel, p.storage, p.brick, p.path, p.shape, p.width,
+                 p.fields,
                  p.cells_per_s, static_cast<long long>(p.iters), p.seconds,
                  i + 1 < pts.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // Headline ratios of the perf trajectory (ISSUE 5 acceptance: the 8^3
-  // 125-point interior fast path must be >= 3x the naive kernel; ISSUE 10:
-  // the explicit-SIMD interior must beat the scalar fast path).
-  std::fprintf(f, "  \"speedups\": {\n");
-  const struct {
+  // Headline ratios of the perf trajectory: the fast path over the naive
+  // kernel (the 8^3 125-point tiles must stay >= 3x), the explicit-SIMD
+  // tiles over the scalar fast path, the same fast-over-naive ratios on
+  // the expansion shape, and how much of the cube rate the expansion
+  // shape keeps at the active width.
+  struct Ratio {
     const char* name;
     const char* kernel;
     const char* storage;
     int brick;
-  } pairs[] = {{"brick8_125pt", "125pt", "brick", 8},
-               {"brick8_7pt", "7pt", "brick", 8},
-               {"brick4_125pt", "125pt", "brick", 4},
-               {"brick4_7pt", "7pt", "brick", 4},
-               {"array_125pt", "125pt", "array", 0},
-               {"array_7pt", "7pt", "array", 0}};
-  for (const auto& pr : pairs) {
-    const double fast =
-        find_cells_per_s(pts, pr.kernel, pr.storage, pr.brick, "fast");
-    const double naive =
-        find_cells_per_s(pts, pr.kernel, pr.storage, pr.brick, "naive");
-    std::fprintf(f, "    \"%s\": %.2f,\n", pr.name,
-                 naive > 0 ? fast / naive : 0);
-  }
-  const struct {
-    const char* name;
-    const char* kernel;
-    int brick;
-  } simd_pairs[] = {{"simd_vs_fast_brick8_125pt", "125pt", 8},
-                    {"simd_vs_fast_brick8_7pt", "7pt", 8},
-                    {"simd_vs_fast_brick4_125pt", "125pt", 4},
-                    {"simd_vs_fast_brick4_7pt", "7pt", 4}};
-  for (std::size_t i = 0; i < std::size(simd_pairs); ++i) {
-    const auto& pr = simd_pairs[i];
-    const double vec = find_cells_per_s(pts, pr.kernel, "brick", pr.brick,
-                                        "simd");
-    const double fast = find_cells_per_s(pts, pr.kernel, "brick", pr.brick,
-                                         "fast");
-    std::fprintf(f, "    \"%s\": %.2f%s\n", pr.name,
-                 fast > 0 ? vec / fast : 0,
-                 i + 1 < std::size(simd_pairs) ? "," : "");
+    const char* num_path;
+    const char* den_path;
+    const char* num_shape;
+    const char* den_shape;
+  };
+  const Ratio ratios[] = {
+      {"brick8_125pt", "125pt", "brick", 8, "fast", "naive", "cube", "cube"},
+      {"brick8_7pt", "7pt", "brick", 8, "fast", "naive", "cube", "cube"},
+      {"brick4_125pt", "125pt", "brick", 4, "fast", "naive", "cube", "cube"},
+      {"brick4_7pt", "7pt", "brick", 4, "fast", "naive", "cube", "cube"},
+      {"array_125pt", "125pt", "array", 0, "fast", "naive", "cube", "cube"},
+      {"array_7pt", "7pt", "array", 0, "fast", "naive", "cube", "cube"},
+      {"simd_vs_fast_brick8_125pt", "125pt", "brick", 8, "simd", "fast",
+       "cube", "cube"},
+      {"simd_vs_fast_brick8_7pt", "7pt", "brick", 8, "simd", "fast", "cube",
+       "cube"},
+      {"simd_vs_fast_brick4_125pt", "125pt", "brick", 4, "simd", "fast",
+       "cube", "cube"},
+      {"simd_vs_fast_brick4_7pt", "7pt", "brick", 4, "simd", "fast", "cube",
+       "cube"},
+      {"expansion_brick8_125pt", "125pt", "brick", 8, "fast", "naive",
+       "expansion", "expansion"},
+      {"expansion_brick8_7pt", "7pt", "brick", 8, "fast", "naive",
+       "expansion", "expansion"},
+      {"expansion_array_125pt", "125pt", "array", 0, "fast", "naive",
+       "expansion", "expansion"},
+      {"expansion_array_7pt", "7pt", "array", 0, "fast", "naive",
+       "expansion", "expansion"},
+      {"expansion_vs_cube_brick8_125pt", "125pt", "brick", 8, "simd", "simd",
+       "expansion", "cube"},
+      {"expansion_vs_cube_brick8_7pt", "7pt", "brick", 8, "simd", "simd",
+       "expansion", "cube"},
+  };
+  std::fprintf(f, "  \"speedups\": {\n");
+  for (std::size_t i = 0; i < std::size(ratios); ++i) {
+    const Ratio& r = ratios[i];
+    const double num = find_cells_per_s(pts, r.kernel, r.storage, r.brick,
+                                        r.num_path, r.num_shape);
+    const double den = find_cells_per_s(pts, r.kernel, r.storage, r.brick,
+                                        r.den_path, r.den_shape);
+    std::fprintf(f, "    \"%s\": %.2f%s\n", r.name, den > 0 ? num / den : 0,
+                 i + 1 < std::size(ratios) ? "," : "");
   }
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
 
   for (const auto& p : pts)
     std::printf(
-        "%-6s %-5s b=%d %-5s W=%d F=%d : %10.3e cells/s  (%lld iters, "
+        "%-6s %-5s b=%d %-5s %-9s W=%d F=%d : %10.3e cells/s  (%lld iters, "
         "%.2fs)\n",
-        p.kernel, p.storage, p.brick, p.path, p.width, p.fields,
+        p.kernel, p.storage, p.brick, p.path, p.shape, p.width, p.fields,
         p.cells_per_s, static_cast<long long>(p.iters), p.seconds);
   const double headline =
       find_cells_per_s(pts, "125pt", "brick", 8, "fast") /
@@ -567,6 +719,12 @@ int write_json(const std::string& file, bool self_check_passed) {
       find_cells_per_s(pts, "125pt", "brick", 8, "fast");
   std::printf("8^3 125-point simd-vs-fast speedup (W=%d): %.2fx\n",
               simd::kActiveWidth, simd_headline);
+  std::printf(
+      "k1_kernels expansion, brick 8, W=%d: 125-point %.3e cells/s, "
+      "7-point %.3e cells/s\n",
+      simd::kActiveWidth,
+      find_cells_per_s(pts, "125pt", "brick", 8, "simd", "expansion"),
+      find_cells_per_s(pts, "7pt", "brick", 8, "simd", "expansion"));
   std::printf("micro_kernels: wrote %s\n", file.c_str());
   return 0;
 }

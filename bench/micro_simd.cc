@@ -1,5 +1,5 @@
 // Explicit-SIMD width sweep (DESIGN.md §16): wall-clock cells/s of the
-// forced-width interior kernels engine_apply{7,125}_simd at W = 1, 2, 4, 8
+// forced-width tile kernels engine_apply{7,125}_simd at W = 1, 2, 4, 8
 // for brick sizes {4, 8}^3, plus the AoSoA field-count sweep at the active
 // width. Widths above the hardware's are compiler-emulated, so the full
 // sweep runs (and is bit-exact) on any host; the table shows where

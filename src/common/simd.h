@@ -75,7 +75,8 @@ struct DVec;
 
 /// `V` is the natural (lane-aligned) vector; `VU` the same vector with
 /// alignment relaxed to that of a bare double, because the halo-tile rows
-/// the kernels read are not lane-aligned (row stride B + 2R). `may_alias`
+/// the kernels read (row stride B + 2R) and the array kernels' output rows
+/// are not lane-aligned. `may_alias`
 /// makes the casts from the underlying double arrays well-defined.
 #define BRICKX_SIMD_DVEC(W, BYTES)                                        \
   template <>                                                             \
@@ -99,6 +100,8 @@ struct DVec;
     }                                                                     \
     /* Aligned store; `p` must satisfy lane_aligned(p, W). */             \
     void store(double* p) const { *reinterpret_cast<V*>(p) = v; }         \
+    /* Unaligned store of W consecutive doubles. */                       \
+    void storeu(double* p) const { *reinterpret_cast<VU*>(p) = v; }       \
                                                                           \
     double operator[](int l) const { return v[l]; }                       \
     DVec& operator+=(DVec o) {                                            \
@@ -125,6 +128,7 @@ struct DVec<1> {
   static DVec zero() { return DVec{0.0}; }
   static DVec loadu(const double* p) { return DVec{*p}; }
   void store(double* p) const { *p = v; }
+  void storeu(double* p) const { *p = v; }
 
   double operator[](int) const { return v; }
   DVec& operator+=(DVec o) {

@@ -21,20 +21,26 @@ namespace brickx::stencil {
 ///     is derived arithmetically (BrickDecomp::brick_grid_range), so only
 ///     overlapping bricks are visited instead of every allocated brick of
 ///     the decomposition.
-///  2. Interior/boundary split: a brick fully covered by `out_cells` whose
-///     required neighbors all exist resolves its neighbor-brick base
-///     pointers once (BrickInfo::adjacent), gathers the radius-r halo into
-///     a contiguous stack tile, and runs a flat `double* __restrict`
-///     triple loop with constant trip counts — no proxy chain, no
-///     per-access adjacency branch. Partially covered (or frame-edge)
-///     bricks keep the clipped per-access `.at()` path.
+///  2. One tile path: every visited brick, whole or clipped, resolves its
+///     neighbor-brick base pointers once (BrickInfo::adjacent) and gathers
+///     into a contiguous stack tile only what its clip's radius-r halo
+///     reads — the 6 faces for the 7-point star, the touched part of the
+///     27 for the 125-point cube. The gather is the frame check: a halo
+///     that needs an unallocated brick throws "stencil reached past the
+///     allocated ghost zone", as Brick::at does in the naive kernels. A
+///     flat `double* __restrict` loop then computes the clip's z-y rows at
+///     full brick width, in place when the clip spans whole rows and
+///     through a B^3 stack scratch (copying only the clipped x range)
+///     when it does not.
 ///  3. Row-pointer array kernels: the lexicographic (CellArray3) kernels
-///     hoist per-(z, y) row base pointers out of the contiguous x loop.
+///     hoist per-(z, y) row base pointers out of the contiguous x loop;
+///     the 125-point one keeps 4·W cells' accumulators in DVec<W>
+///     registers across all 125 taps (DESIGN.md §16).
 
 /// Fast 7-point / 125-point brick kernels; drop-in replacements for the
 /// naive apply7_bricks / apply125_bricks bodies (stencils.cc delegates
 /// here). Bit-identical to the naive kernels by construction; verified by
-/// tests/stencil_kernel_test.cc. These dispatch the interior tiles to the
+/// tests/stencil_kernel_test.cc. These dispatch the tile compute to the
 /// explicit-SIMD path at simd::kActiveWidth (DESIGN.md §16); the
 /// forced-width *_simd variants below expose every width for differential
 /// testing and the width axis of BENCH_kernels.json.
@@ -49,7 +55,7 @@ void engine_apply125(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
 /// --- Explicit-SIMD tier (DESIGN.md §16) ---
 ///
 /// Forced-width engine entry points: identical structure to engine_apply7 /
-/// engine_apply125, but the interior tile compute runs tap-outer /
+/// engine_apply125, but the tile compute runs tap-outer /
 /// lane-inner vector loops of `W` doubles (one output cell per lane, so
 /// each cell's dz-dy-dx accumulation order — and therefore every result
 /// bit — matches the naive kernels). `W == 1` is exactly the scalar fast
@@ -89,11 +95,21 @@ const char* simd_brick_reason(const Brick<BK, BJ, BI>& br, int w) {
 
 /// Fast lexicographic-array kernels (row-pointer inner loops). `in` must
 /// cover `out_cells` expanded by the stencil radius; `out` must cover
-/// `out_cells`.
+/// `out_cells`. The 125-point one (and its span variant) runs the
+/// register-blocked rows at simd::kActiveWidth.
 void engine_apply7_array(const CellArray3& in, CellArray3& out,
                          const Box<3>& out_cells);
 void engine_apply125_array(const CellArray3& in, CellArray3& out,
                            const Box<3>& out_cells);
+
+/// Forced-width 125-point array kernel: rows run in blocks of 4·W cells
+/// held in DVec<W> registers across all 125 taps, then a scalar tail; the
+/// same dz-dy-dx order per cell, so bit-identical to apply125_array_naive
+/// at every width. Output rows need no alignment (unaligned stores).
+/// Instantiated for W in {1, 2, 4, 8}.
+template <int W>
+void engine_apply125_array_simd(const CellArray3& in, CellArray3& out,
+                                const Box<3>& out_cells);
 
 /// Span variants of the array kernels for multi-field slabs (ArrayFields):
 /// `in` and `out` are both `frame`-shaped lexicographic buffers (axis 0

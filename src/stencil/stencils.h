@@ -47,8 +47,9 @@ struct Stencil125 {
 /// coordinates allowed), compute the covered cells from `in` into `out`.
 /// Cross-brick reads resolve through the adjacency indirection, so the
 /// physical brick order — the layout — is irrelevant to the result.
-/// Runs the fast-path kernel engine (brick-range pruning + interior tile
-/// loops, DESIGN.md §10); bit-identical to apply7_bricks_naive.
+/// Runs the fast-path kernel engine (brick-range pruning + one halo-tile
+/// path for every brick, DESIGN.md §10); bit-identical to
+/// apply7_bricks_naive.
 template <int BK, int BJ, int BI>
 void apply7_bricks(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                    const Brick<BK, BJ, BI>& in, const Box<3>& out_cells);

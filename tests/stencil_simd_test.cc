@@ -3,7 +3,8 @@
 // both the scalar fast path and the naive per-access kernels over
 // full-domain / ghost-adjacent / clipped / empty boxes × both stencils ×
 // both brick sizes — widths the hardware lacks are compiler-emulated, so
-// the whole matrix runs in one build. Plus the alignment guard
+// the whole matrix runs in one build. The register-blocked 125-point array
+// kernel gets the same width sweep. Plus the alignment guard
 // (simd_storage_reason) unit-tested for every width, the BrickStorage
 // alignment contract, and the AoSoA per-field dispatch.
 
@@ -16,6 +17,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/brick.h"
+#include "core/cell_array.h"
 #include "stencil/stencils.h"
 
 namespace brickx::stencil {
@@ -137,6 +139,36 @@ TEST(SimdWidths, ActiveWidthIsSupported) {
   EXPECT_TRUE(simd::kDetectedWidth == 1 || simd::kDetectedWidth == 2 ||
               simd::kDetectedWidth == 4 || simd::kDetectedWidth == 8);
   EXPECT_STRNE(simd::isa_name(), "");
+}
+
+// The 125-point array kernel at every width: blocks of 4·W cells held in
+// registers plus a scalar tail must be bit-identical to the naive kernel
+// for every row length 1 … 8·W + 1 — every tail length after zero, one
+// and two whole blocks — with rows starting at an odd x offset, so the
+// output stores are unaligned.
+template <int W>
+void expect_array_width_identical() {
+  const Box<3> frame{{-3, -3, -3}, {8 * W + 6, 6, 6}};
+  CellArray3 in(frame);
+  Rng rng(4000 + W);
+  for_each(frame, [&](const Vec3& p) { in.at(p) = rng.uniform() - 0.5; });
+  for (std::int64_t nx = 1; nx <= 8 * W + 1; ++nx) {
+    const Box<3> box{{1, 0, -1}, {1 + nx, 3, 2}};
+    CellArray3 vec(frame), naive(frame);
+    engine_apply125_array_simd<W>(in, vec, box);
+    apply125_array_naive(in, naive, box);
+    EXPECT_EQ(std::memcmp(vec.raw().data(), naive.raw().data(),
+                          vec.raw().size() * sizeof(double)),
+              0)
+        << "W=" << W << " nx=" << nx;
+  }
+}
+
+TEST(ArrayWidths, AllWidthsMatchNaiveBitExactly) {
+  expect_array_width_identical<1>();
+  expect_array_width_identical<2>();
+  expect_array_width_identical<4>();
+  expect_array_width_identical<8>();
 }
 
 // The guard predicate, width by width. A 64-byte-aligned base with
