@@ -25,6 +25,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -417,9 +418,9 @@ struct KernelPoint {
   const char* storage;  ///< "brick" | "array"
   int brick;            ///< brick extent, 0 for array storage
   const char* path;     ///< "naive" | "fast" | "simd"
-  double cells_per_s = 0;
-  std::int64_t iters = 0;
-  double seconds = 0;
+  double cells_per_s = 0;  ///< of the fastest repeat
+  std::int64_t iters = 0;   ///< kernel applications per repeat
+  double seconds = 0;       ///< of the fastest repeat
   /// Vector lanes of the measured path: 0 for naive (per-access), 1 for
   /// the scalar fast tiles, simd::kActiveWidth for the explicit-SIMD tier.
   int width = 0;
@@ -427,32 +428,44 @@ struct KernelPoint {
   int fields = 1;
   /// "cube" (the whole n^3 domain) or "expansion" (expansion_boxes).
   const char* shape = "cube";
+  double spread = 0;  ///< slowest repeat over the fastest
 };
 
-/// Time `fn` (one application of a kernel to `cells` cells),
-/// doubling the batch until it runs for at least `min_s` seconds.
+/// Time `fn` (one application of a kernel to `cells` cells): double the
+/// batch until it runs for at least `min_s` seconds, then run that batch
+/// `kRepeats` times in all. The fastest repeat gives cells_per_s; one
+/// batch alone moved by about 20% between runs on a shared host.
 template <typename F>
 void measure(KernelPoint& pt, std::int64_t cells, F&& fn) {
   using clock = std::chrono::steady_clock;
   constexpr double min_s = 0.15;
-  std::int64_t iters = 1;
-  for (;;) {
+  constexpr int kRepeats = 5;
+  auto batch = [&](std::int64_t iters) {
     const auto t0 = clock::now();
     for (std::int64_t i = 0; i < iters; ++i) fn();
-    const double s = std::chrono::duration<double>(clock::now() - t0).count();
-    if (s >= min_s) {
-      pt.iters = iters;
-      pt.seconds = s;
-      pt.cells_per_s =
-          static_cast<double>(cells * iters) / (s > 0 ? s : 1e-12);
-      return;
-    }
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  std::int64_t iters = 1;
+  double s = batch(iters);
+  while (s < min_s) {
     iters = s > 0 ? std::max<std::int64_t>(
                         iters * 2, static_cast<std::int64_t>(
                                        static_cast<double>(iters) * min_s /
                                        s * 1.2))
                   : iters * 2;
+    s = batch(iters);
   }
+  double best = s, worst = s;
+  for (int r = 1; r < kRepeats; ++r) {
+    const double t = batch(iters);
+    best = std::min(best, t);
+    worst = std::max(worst, t);
+  }
+  pt.iters = iters;
+  pt.seconds = best;
+  pt.cells_per_s =
+      static_cast<double>(cells * iters) / (best > 0 ? best : 1e-12);
+  pt.spread = best > 0 ? worst / best : 1.0;
 }
 
 /// Vector lanes of a brick `path` (KernelPoint::width).
@@ -616,8 +629,9 @@ int write_json(const std::string& file, bool self_check_passed) {
   std::fprintf(f, "  \"bench\": \"micro_kernels\",\n");
   // v2: build provenance block, per-result width/fields axes, the "simd"
   // path, and simd-vs-fast speedup ratios (DESIGN.md §16). v3: the
-  // per-result shape axis ("cube" | "expansion") and expansion ratios.
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  // per-result shape axis ("cube" | "expansion") and expansion ratios. v4:
+  // each result is the fastest of five repeats, with their max/min spread.
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"build_type\": \"%s\",\n", BRICKX_BUILD_TYPE);
   // Provenance: trajectory points are only comparable when the toolchain
   // and vector configuration match — stamp everything that moves cells/s.
@@ -641,11 +655,11 @@ int write_json(const std::string& file, bool self_check_passed) {
                  "    {\"kernel\": \"%s\", \"storage\": \"%s\", \"brick\": "
                  "%d, \"path\": \"%s\", \"shape\": \"%s\", \"width\": %d, "
                  "\"fields\": %d, \"cells_per_s\": %.6e, \"iters\": %lld, "
-                 "\"seconds\": %.4f}%s\n",
+                 "\"seconds\": %.4f, \"spread\": %.3f}%s\n",
                  p.kernel, p.storage, p.brick, p.path, p.shape, p.width,
                  p.fields,
                  p.cells_per_s, static_cast<long long>(p.iters), p.seconds,
-                 i + 1 < pts.size() ? "," : "");
+                 p.spread, i + 1 < pts.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   // Headline ratios of the perf trajectory: the fast path over the naive
@@ -707,9 +721,9 @@ int write_json(const std::string& file, bool self_check_passed) {
   for (const auto& p : pts)
     std::printf(
         "%-6s %-5s b=%d %-5s %-9s W=%d F=%d : %10.3e cells/s  (%lld iters, "
-        "%.2fs)\n",
+        "%.2fs, spread %.2f)\n",
         p.kernel, p.storage, p.brick, p.path, p.shape, p.width, p.fields,
-        p.cells_per_s, static_cast<long long>(p.iters), p.seconds);
+        p.cells_per_s, static_cast<long long>(p.iters), p.seconds, p.spread);
   const double headline =
       find_cells_per_s(pts, "125pt", "brick", 8, "fast") /
       find_cells_per_s(pts, "125pt", "brick", 8, "naive");

@@ -89,7 +89,7 @@ struct DVec;
     V v;                                                                  \
                                                                           \
     static DVec broadcast(double x) {                                     \
-      DVec r;                                                             \
+      DVec r{};                                                           \
       for (int l = 0; l < W; ++l) r.v[l] = x;                             \
       return r;                                                           \
     }                                                                     \

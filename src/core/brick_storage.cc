@@ -1,7 +1,5 @@
 #include "core/brick_storage.h"
 
-#include <cstring>
-
 #include "common/error.h"
 #include "memmap/pagesize.h"
 
@@ -51,10 +49,8 @@ BrickStorage BrickStorage::heap(const std::vector<std::int64_t>& chunk_bricks,
                                 std::int64_t elems_per_brick, int fields) {
   BrickStorage s;
   s.layout_chunks(chunk_bricks, elems_per_brick, fields, /*page_size=*/0);
-  s.heap_.reset(static_cast<std::byte*>(::operator new[](
-      s.total_bytes_ ? s.total_bytes_ : 1, std::align_val_t{kAlignment})));
-  s.base_ = s.heap_.get();
-  std::memset(s.base_, 0, s.total_bytes_);
+  s.heap_ = ZeroedBuffer(s.total_bytes_);
+  s.base_ = s.heap_.data();
   return s;
 }
 

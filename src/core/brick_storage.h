@@ -3,9 +3,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <vector>
 
+#include "common/zeroed.h"
 #include "memmap/mem_file.h"
 #include "memmap/view.h"
 
@@ -17,8 +17,9 @@ namespace brickx {
 /// BrickDecomp assigns).
 ///
 /// Two backings:
-///  * Heap   — plain aligned allocation; chunks tightly packed. Used by the
-///             Layout method.
+///  * Heap   — a ZeroedBuffer (huge-page mapping zeroed on first touch
+///             from 2 MiB up, aligned heap block below); chunks tightly
+///             packed. Used by the Layout method.
 ///  * MemFd  — an in-memory file mapped once as the canonical view; every
 ///             chunk is padded to `page_size` so ExchangeView can stitch
 ///             per-neighbor mmap views (the MemMap method).
@@ -28,8 +29,8 @@ namespace brickx {
 /// brick — all fields — is the unit of exchange.
 ///
 /// Alignment rule (the explicit-SIMD tier, DESIGN.md §16): both backings
-/// place the buffer base on a `kAlignment`-byte boundary (heap via aligned
-/// operator new, MemFd via page-aligned mmap). Brick strides are NOT padded
+/// place the buffer base on a `kAlignment`-byte boundary (heap via
+/// ZeroedBuffer, MemFd via page-aligned mmap). Brick strides are NOT padded
 /// — padding would change the exchange byte accounting — so a brick base is
 /// vector-aligned only when `brick_bytes()` happens to be a multiple of the
 /// lane size. For 3-D stencil geometries it always is (every brick extent
@@ -39,7 +40,7 @@ namespace brickx {
 class BrickStorage {
  public:
   /// Buffer base alignment both backings guarantee (= simd::kAlign).
-  static constexpr std::size_t kAlignment = 64;
+  static constexpr std::size_t kAlignment = ZeroedBuffer::kAlignment;
 
   /// Bytes from the start of one brick to the next within a chunk.
   [[nodiscard]] std::size_t brick_bytes() const { return brick_bytes_; }
@@ -118,14 +119,8 @@ class BrickStorage {
   std::vector<Chunk> chunks_;
   std::vector<std::size_t> brick_offsets_;
 
-  // Backing (exactly one active). The heap backing over-aligns to
-  // kAlignment, which unique_ptr's default delete[] would get wrong.
-  struct AlignedDelete {
-    void operator()(std::byte* p) const {
-      ::operator delete[](p, std::align_val_t{kAlignment});
-    }
-  };
-  std::unique_ptr<std::byte[], AlignedDelete> heap_;
+  // Backing (exactly one active).
+  ZeroedBuffer heap_;
   std::unique_ptr<mm::MemFile> file_;
   std::unique_ptr<mm::Mapping> mapping_;
   std::byte* base_ = nullptr;

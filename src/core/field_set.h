@@ -1,10 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "common/error.h"
 #include "common/vec.h"
+#include "common/zeroed.h"
 #include "core/brick.h"
 #include "core/brick_storage.h"
 
@@ -48,14 +49,17 @@ class FieldSet {
 /// contiguity is the point: a single MPI datatype (per-field subarrays
 /// concatenated at slab displacements) or a single packed buffer can move
 /// every field to a neighbor in one message, which is what keeps the
-/// message count field-count-invariant for the array methods too.
+/// message count field-count-invariant for the array methods too. The
+/// allocation is a ZeroedBuffer, so a large frame costs only the pages a
+/// run touches.
 class ArrayFields {
  public:
   ArrayFields(const Box<3>& frame, int fields)
       : box_(frame), fields_(fields), ext_(frame.extent()) {
     BX_CHECK(fields >= 1, "need at least one field");
     field_elems_ = box_.volume();
-    data_.assign(static_cast<std::size_t>(field_elems_ * fields), 0.0);
+    data_ = ZeroedBuffer(static_cast<std::size_t>(field_elems_ * fields) *
+                         sizeof(double));
   }
 
   [[nodiscard]] int fields() const { return fields_; }
@@ -64,11 +68,11 @@ class ArrayFields {
   [[nodiscard]] std::int64_t field_elems() const { return field_elems_; }
 
   [[nodiscard]] double* field_base(int f) {
-    return data_.data() + static_cast<std::size_t>(f) *
+    return raw().data() + static_cast<std::size_t>(f) *
                               static_cast<std::size_t>(field_elems_);
   }
   [[nodiscard]] const double* field_base(int f) const {
-    return data_.data() + static_cast<std::size_t>(f) *
+    return raw().data() + static_cast<std::size_t>(f) *
                               static_cast<std::size_t>(field_elems_);
   }
 
@@ -79,15 +83,22 @@ class ArrayFields {
     return field_base(f)[linearize(p - box_.lo, ext_)];
   }
 
-  [[nodiscard]] std::vector<double>& raw() { return data_; }
-  [[nodiscard]] const std::vector<double>& raw() const { return data_; }
+  /// Every slab, field 0 first.
+  [[nodiscard]] std::span<double> raw() {
+    return {reinterpret_cast<double*>(data_.data()),
+            data_.size() / sizeof(double)};
+  }
+  [[nodiscard]] std::span<const double> raw() const {
+    return {reinterpret_cast<const double*>(data_.data()),
+            data_.size() / sizeof(double)};
+  }
 
  private:
   Box<3> box_;
   int fields_;
   Vec3 ext_;
   std::int64_t field_elems_ = 0;
-  std::vector<double> data_;
+  ZeroedBuffer data_;
 };
 
 }  // namespace brickx

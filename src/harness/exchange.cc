@@ -505,6 +505,14 @@ std::unique_ptr<Exchange> make_exchange(Method m, const Geometry& geo,
   brickx::fail("unknown exchange method");
 }
 
+std::vector<Box<3>> seed_boxes(const Vec3& subdomain, std::int64_t ghost,
+                               bool kernels) {
+  const Box<3> owned{{0, 0, 0}, subdomain};
+  const Box<3> inner{Vec3::fill(ghost), subdomain - Vec3::fill(ghost)};
+  if (kernels || inner.empty()) return {owned};
+  return stencil::shell_boxes<3>(owned, inner);
+}
+
 std::unique_ptr<mpi::Runtime> make_runtime(const Config& cfg,
                                            mpi::FaultInjector* faults) {
   const int nranks = static_cast<int>(cfg.rank_dims.prod());

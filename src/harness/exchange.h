@@ -112,7 +112,8 @@ class Exchange {
   /// aliases of it under unified memory, device ranges otherwise); the
   /// registrations are released with the exchange.
   void attach(gpu::Device& dev, mpi::MemSpace space);
-  /// Visit the byte ranges a stencil sweep touches, both buffers.
+  /// Visit the byte ranges a stencil sweep touches: buffer 0's, then as
+  /// many of buffer 1's.
   virtual void visit_payload(
       const std::function<void(const void*, std::size_t)>& fn) const = 0;
 
@@ -133,6 +134,14 @@ class Exchange {
 /// Build method `m`'s storage and exchanger for this rank of `cart`.
 std::unique_ptr<Exchange> make_exchange(Method m, const Geometry& geo,
                                         const mpi::Cart<3>& cart);
+
+/// The owned cells a rank seeds before its first exchange: all of
+/// [0, subdomain) when kernels run, else only the shell within `ghost` of
+/// its faces (the whole block once an axis is no wider than 2 * ghost).
+/// Every method sends only shell cells, so without kernels the interior is
+/// never read, and neither it nor the untouched buffer is ever faulted in.
+std::vector<Box<3>> seed_boxes(const Vec3& subdomain, std::int64_t ghost,
+                               bool kernels);
 
 /// The simulated job `cfg` describes: a runtime over cfg.machine.net with
 /// cfg.transport, and for routed fabrics the contention fabric whose

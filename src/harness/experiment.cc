@@ -298,20 +298,22 @@ class RankRun {
     out_.traffic = ex_->traffic();
     // Initialize the input fields from global coordinates, a thin z-slab at
     // a time: a block-sized staging array, live on every rank at once,
-    // would raise the run's peak memory. The first exchange fills the
-    // ghost frame.
-    const Vec3& N = cfg.subdomain;
+    // would raise the run's peak memory. Without kernels only the cells an
+    // exchange sends are seeded. The first exchange fills the ghost frame.
     constexpr std::int64_t kSlab = 8;  // z-planes staged per write
     for (int f = 0; f < cfg.fields; ++f)
-      for (std::int64_t z = 0; z < N[2]; z += kSlab) {
-        CellArray3 seed(
-            Box<3>{{0, 0, z}, {N[0], N[1], std::min(z + kSlab, N[2])}});
-        double* row = seed.raw().data();
-        for (std::int64_t zz = z; zz < seed.box().hi[2]; ++zz)
-          for (std::int64_t y = 0; y < N[1]; ++y, row += N[0])
-            init_row(Vec3{0, y, zz} + offset_, f, N[0], row);
-        ex_->write(0, f, seed);
-      }
+      for (const Box<3>& box : seed_boxes(cfg.subdomain, cfg.ghost, execute_))
+        for (std::int64_t z = box.lo[2]; z < box.hi[2]; z += kSlab) {
+          CellArray3 seed(Box<3>{{box.lo[0], box.lo[1], z},
+                                 {box.hi[0], box.hi[1],
+                                  std::min(z + kSlab, box.hi[2])}});
+          const std::int64_t n = box.hi[0] - box.lo[0];
+          double* row = seed.raw().data();
+          for (std::int64_t zz = z; zz < seed.box().hi[2]; ++zz)
+            for (std::int64_t y = box.lo[1]; y < box.hi[1]; ++y, row += n)
+              init_row(Vec3{box.lo[0], y, zz} + offset_, f, n, row);
+          ex_->write(0, f, seed);
+        }
     setup_plans();
   }
 

@@ -180,7 +180,8 @@ void expect_rows_match_reference(std::int64_t g, const Fields& shape) {
   Runtime rt(2, NetModel{});
   rt.run([&](Comm& comm) {
     Fields field = shape;
-    field.raw() = random_doubles(field.raw().size(), 1);
+    std::ranges::copy(random_doubles(field.raw().size(), 1),
+                      field.raw().begin());
     if (comm.rank() == 0) {
       PackExchanger ex(N, g, dirs, std::vector<int>(dirs.size(), 1), nf);
       Fields want = field;

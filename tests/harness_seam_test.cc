@@ -11,12 +11,16 @@
 // A mismatch prints the case's actual line in the data-file format.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/zeroed.h"
 #include "core/cell_array.h"
 #include "harness/exchange.h"
 #include "harness/experiment.h"
@@ -35,6 +40,7 @@
 #include "obs/session.h"
 #include "simmpi/cart.h"
 #include "simmpi/fault.h"
+#include "stencil/stencils.h"
 
 namespace brickx::harness {
 namespace {
@@ -387,6 +393,123 @@ TEST(ExchangeSeam, EveryMethodRejectsBoxesOutsideTheFrame) {
                 frame.volume())
           << "a rejected write changed the field";
     });
+  }
+}
+
+// Without kernels a rank seeds only seed_boxes(..., kernels = false), the
+// shell its exchanges send. One round after that seed must leave every
+// ghost cell bit-identical to the round after a full seed, for every method
+// that delivers ghosts.
+const Method kDelivering[] = {Method::Basic,  Method::Layout,
+                              Method::MemMap, Method::Shift,
+                              Method::Yask,   Method::MpiTypes};
+
+/// Seed buffer 0 over `boxes` (subdomain-local) with values distinct per
+/// global cell and field.
+void seed(Exchange& ex, const Geometry& geo, const Vec3& offset,
+          const std::vector<Box<3>>& boxes) {
+  for (int f = 0; f < geo.fields; ++f)
+    for (const Box<3>& b : boxes) {
+      CellArray3 cells(b);
+      for_each(b, [&](const Vec3& p) {
+        const Vec3 g = p + offset;
+        cells.at(p) = static_cast<double>(g[0] + 1000 * g[1] +
+                                          1000000 * g[2]) +
+                      0.25 * f;
+      });
+      ex.write(0, f, cells);
+    }
+}
+
+/// One bulk round on buffer 0, driven the way harness::run drives it.
+void exchange_once(Exchange& ex, mpi::Comm& comm) {
+  if (ex.packs()) ex.pack(0);
+  ex.start(comm, 0);
+  ex.finish(comm, 0);
+  if (ex.packs()) ex.unpack(0);
+}
+
+/// Each rank's buffer-0 ghost cells (every field, the frame minus the
+/// owned block) after seeding seed_boxes(..., kernels) and one round.
+/// `after` runs on each rank's exchange once the round is done.
+std::vector<std::vector<double>> ghosts_after_one_round(
+    Method m, const Geometry& geo, bool kernels,
+    const std::function<void(const Exchange&)>& after = {}) {
+  Config cfg = base(m);
+  const Box<3> owned{{0, 0, 0}, geo.subdomain};
+  const Box<3> frame{owned.lo - Vec3::fill(geo.ghost),
+                     owned.hi + Vec3::fill(geo.ghost)};
+  std::vector<std::vector<double>> ghosts(
+      static_cast<std::size_t>(cfg.rank_dims.prod()));
+  make_runtime(cfg)->run([&](mpi::Comm& comm) {
+    const mpi::Cart<3> cart(comm, cfg.rank_dims);
+    const auto ex = make_exchange(m, geo, cart);
+    seed(*ex, geo, cart.coords() * geo.subdomain,
+         seed_boxes(geo.subdomain, geo.ghost, kernels));
+    exchange_once(*ex, comm);
+    std::vector<double>& out = ghosts[static_cast<std::size_t>(comm.rank())];
+    for (int f = 0; f < geo.fields; ++f)
+      for (const Box<3>& b : stencil::shell_boxes<3>(frame, owned)) {
+        CellArray3 cells(b);
+        ex->read(0, f, cells);
+        out.insert(out.end(), cells.raw().begin(), cells.raw().end());
+      }
+    if (after) after(*ex);
+  });
+  return ghosts;
+}
+
+TEST(ExchangeSeam, ShellSeedDeliversTheFullSeedsGhosts) {
+  constexpr std::int64_t kB = 4;
+  for (Method m : kDelivering)
+    for (std::int64_t g : {kB, 2 * kB})
+      for (int fields : {1, 3})
+        for (std::int64_t n : {2 * g + kB, 2 * g}) {
+          SCOPED_TRACE(::testing::Message()
+                       << method_name(m) << " ghost " << g << " fields "
+                       << fields << " subdomain " << n);
+          const Geometry geo{.subdomain = Vec3::fill(n),
+                             .ghost = g,
+                             .brick = Vec3::fill(kB),
+                             .fields = fields};
+          if (n > 2 * g) {
+            EXPECT_EQ(seed_boxes(geo.subdomain, g, false).size(), 6u);
+          } else {
+            EXPECT_EQ(seed_boxes(geo.subdomain, g, false),
+                      seed_boxes(geo.subdomain, g, true));
+          }
+          EXPECT_EQ(ghosts_after_one_round(m, geo, /*kernels=*/false),
+                    ghosts_after_one_round(m, geo, /*kernels=*/true));
+        }
+}
+
+// With mapped buffers, shell seeding plus a round on buffer 0 must not
+// fault in a single page of buffer 1: nothing reads or writes it.
+TEST(ExchangeSeam, ShellSeedLeavesTheOtherBufferUnfaulted) {
+  // A 64^3-cell frame of doubles: every buffer is 2 MiB, so the heap
+  // methods' buffers are lazily zeroed mappings.
+  const Geometry geo{.subdomain = {48, 48, 48}, .ghost = 8, .brick = {4, 4, 4}};
+  static_assert(64 * 64 * 64 * sizeof(double) == ZeroedBuffer::kHugePage);
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  for (Method m : kDelivering) {
+    SCOPED_TRACE(method_name(m));
+    std::atomic<std::int64_t> resident{0};
+    ghosts_after_one_round(m, geo, /*kernels=*/false, [&](const Exchange& ex) {
+      std::vector<std::pair<const void*, std::size_t>> ranges;
+      ex.visit_payload([&](const void* p, std::size_t n) {
+        ranges.emplace_back(p, n);
+      });
+      // visit_payload lists buffer 0's ranges, then as many of buffer 1's.
+      for (std::size_t i = ranges.size() / 2; i < ranges.size(); ++i) {
+        const auto lo = reinterpret_cast<std::uintptr_t>(ranges[i].first);
+        const std::uintptr_t a = lo / page * page;
+        const std::uintptr_t len = lo + ranges[i].second - a;
+        std::vector<unsigned char> vec((len + page - 1) / page);
+        ASSERT_EQ(::mincore(reinterpret_cast<void*>(a), len, vec.data()), 0);
+        for (unsigned char v : vec) resident += v & 1;
+      }
+    });
+    EXPECT_EQ(resident.load(), 0);
   }
 }
 
