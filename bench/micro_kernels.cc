@@ -1,8 +1,8 @@
-// Real (wall-clock, single-core) microbenchmarks backing the simulation:
-// brick vs array stencil kernels (fast-path engine vs naive per-access
-// reference), pack/unpack copy throughput, datatype gather throughput, and
-// mmap view construction cost. These are the only benches that measure
-// this host rather than the virtual clock.
+// Real (single-core) microbenchmarks backing the simulation: brick vs
+// array stencil kernels (fast-path engine vs naive per-access reference),
+// pack/unpack copy throughput, datatype gather throughput, and mmap view
+// construction cost. These are the only benches that measure this host
+// rather than the virtual clock.
 //
 // Beyond the google-benchmark registrations, two flag-driven modes back
 // the kernel perf trajectory (EXPERIMENTS.md "Real-host microbenchmarks"):
@@ -13,7 +13,8 @@
 //                          step of the k1_kernels geometry; exits non-zero
 //                          on any mismatch (the `perf`-labeled ctest smoke).
 //   --json-out=FILE        measure cells/s for every kernel × brick size ×
-//                          path × shape and write the BENCH_kernels.json
+//                          path × shape, by wall clock and by the thread's
+//                          CPU time, and write the BENCH_kernels.json
 //                          trajectory point (scripts/bench_perf.sh). Shape
 //                          `cube` applies the kernel to the whole n^3
 //                          domain, where every brick is whole; `expansion`
@@ -24,6 +25,8 @@
 // suite.
 
 #include <benchmark/benchmark.h>
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -49,9 +52,6 @@
 #endif
 #ifndef BRICKX_CXX_FLAGS
 #define BRICKX_CXX_FLAGS "unknown"
-#endif
-#ifndef BRICKX_NATIVE_FLAG
-#define BRICKX_NATIVE_FLAG 0
 #endif
 
 #if defined(__clang__)
@@ -84,7 +84,8 @@ struct BrickSetup {
 };
 
 /// One brick-kernel application along `path`: "naive" (per-access), "fast"
-/// (the scalar tiles, forced W = 1) or "simd" (the build's active width).
+/// (the scalar tiles, forced W = 1) or "simd" (the dispatched entry point,
+/// at simd::runtime_width()).
 template <int B>
 void apply_brick_path(std::string_view path, bool use125,
                       const BrickDecomp<3>& dec, const Brick<B, B, B>& out,
@@ -97,11 +98,9 @@ void apply_brick_path(std::string_view path, bool use125,
     }
   } else if (path == "simd") {
     if (use125) {
-      stencil::engine_apply125_simd<B, B, B, simd::kActiveWidth>(dec, out, in,
-                                                                 box);
+      stencil::engine_apply125<B, B, B>(dec, out, in, box);
     } else {
-      stencil::engine_apply7_simd<B, B, B, simd::kActiveWidth>(dec, out, in,
-                                                               box);
+      stencil::engine_apply7<B, B, B>(dec, out, in, box);
     }
   } else if (use125) {
     stencil::engine_apply125_simd<B, B, B, 1>(dec, out, in, box);
@@ -413,70 +412,102 @@ bool run_self_check() {
 
 // ---- measured trajectory (--json-out) --------------------------------------
 
+/// One clock's view of a measured row: the fastest of the repeats, and
+/// the slowest over the fastest.
+struct Timing {
+  double cells_per_s = 0;
+  double seconds = 0;
+  double spread = 0;
+};
+
 struct KernelPoint {
   const char* kernel;   ///< "7pt" | "125pt"
   const char* storage;  ///< "brick" | "array"
   int brick;            ///< brick extent, 0 for array storage
   const char* path;     ///< "naive" | "fast" | "simd"
-  double cells_per_s = 0;  ///< of the fastest repeat
-  std::int64_t iters = 0;   ///< kernel applications per repeat
-  double seconds = 0;       ///< of the fastest repeat
+  std::int64_t iters = 0;  ///< kernel applications per repeat
   /// Vector lanes of the measured path: 0 for naive (per-access), 1 for
-  /// the scalar fast tiles, simd::kActiveWidth for the explicit-SIMD tier.
+  /// the scalar fast tiles, simd::runtime_width() for the dispatched
+  /// kernels.
   int width = 0;
   /// Coupled AoSoA fields evolved per application (cells scales with it).
   int fields = 1;
   /// "cube" (the whole n^3 domain) or "expansion" (expansion_boxes).
   const char* shape = "cube";
-  double spread = 0;  ///< slowest repeat over the fastest
+  Timing wall{};  ///< by steady_clock
+  Timing cpu{};   ///< by the thread's CPU time: what `speedups` divide
 };
 
+/// CPU time this thread has run, in seconds. The kernels are
+/// single-threaded, so time the host gives other processes stays out.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// Time `fn` (one application of a kernel to `cells` cells): double the
-/// batch until it runs for at least `min_s` seconds, then run that batch
-/// `kRepeats` times in all. The fastest repeat gives cells_per_s; one
-/// batch alone moved by about 20% between runs on a shared host.
+/// batch until it runs for at least `min_s` seconds of CPU time, then run
+/// that batch `kRepeats` times in all, timing each by wall clock and by
+/// thread CPU time. Each clock's fastest repeat gives its cells_per_s; one
+/// batch alone moved by about 20% between runs on a shared host, and under
+/// load the wall clock moves more.
 template <typename F>
 void measure(KernelPoint& pt, std::int64_t cells, F&& fn) {
   using clock = std::chrono::steady_clock;
   constexpr double min_s = 0.15;
   constexpr int kRepeats = 5;
+  struct Batch {
+    double wall, cpu;
+  };
   auto batch = [&](std::int64_t iters) {
     const auto t0 = clock::now();
+    const double c0 = thread_cpu_s();
     for (std::int64_t i = 0; i < iters; ++i) fn();
-    return std::chrono::duration<double>(clock::now() - t0).count();
+    const double cpu = thread_cpu_s() - c0;
+    return Batch{std::chrono::duration<double>(clock::now() - t0).count(),
+                 cpu};
   };
   std::int64_t iters = 1;
-  double s = batch(iters);
-  while (s < min_s) {
-    iters = s > 0 ? std::max<std::int64_t>(
-                        iters * 2, static_cast<std::int64_t>(
-                                       static_cast<double>(iters) * min_s /
-                                       s * 1.2))
-                  : iters * 2;
-    s = batch(iters);
+  Batch b = batch(iters);
+  while (b.cpu < min_s) {
+    iters = b.cpu > 0 ? std::max<std::int64_t>(
+                            iters * 2, static_cast<std::int64_t>(
+                                           static_cast<double>(iters) *
+                                           min_s / b.cpu * 1.2))
+                      : iters * 2;
+    b = batch(iters);
   }
-  double best = s, worst = s;
+  Batch best = b, worst = b;
   for (int r = 1; r < kRepeats; ++r) {
-    const double t = batch(iters);
-    best = std::min(best, t);
-    worst = std::max(worst, t);
+    b = batch(iters);
+    best = {std::min(best.wall, b.wall), std::min(best.cpu, b.cpu)};
+    worst = {std::max(worst.wall, b.wall), std::max(worst.cpu, b.cpu)};
   }
+  auto timing = [&](double fastest, double slowest) {
+    const double t = fastest > 0 ? fastest : 1e-12;
+    return Timing{static_cast<double>(cells * iters) / t, fastest,
+                  slowest / t};
+  };
   pt.iters = iters;
-  pt.seconds = best;
-  pt.cells_per_s =
-      static_cast<double>(cells * iters) / (best > 0 ? best : 1e-12);
-  pt.spread = best > 0 ? worst / best : 1.0;
+  pt.wall = timing(best.wall, worst.wall);
+  pt.cpu = timing(best.cpu, worst.cpu);
 }
 
 /// Vector lanes of a brick `path` (KernelPoint::width).
 int path_width(std::string_view path) {
-  return path == "naive" ? 0 : (path == "simd" ? simd::kActiveWidth : 1);
+  return path == "naive" ? 0 : (path == "simd" ? simd::runtime_width() : 1);
 }
 
 /// Vector lanes of the fast array kernel: the 125-point rows run at the
-/// active width, the 7-point rows are scalar (autovectorized).
+/// runtime width; the 7-point rows run 4 wide in the AVX2 clone and are
+/// scalar otherwise.
 int array_width(bool naive, bool use125) {
-  return naive ? 0 : (use125 ? simd::kActiveWidth : 1);
+  const int w = simd::runtime_width();
+  if (naive) return 0;
+  if (use125) return w;
+  return w != simd::kActiveWidth ? w : 1;
 }
 
 template <int B>
@@ -486,8 +517,8 @@ void measure_bricks(std::vector<KernelPoint>& out, std::int64_t n) {
   const Box<3> box{{0, 0, 0}, {n, n, n}};
   const std::int64_t cells = n * n * n;
   // Three paths per kernel: naive per-access, the scalar fast tiles
-  // (forced W=1), and the explicit-SIMD tier at the build's active width.
-  // All three are bit-identical; only throughput differs.
+  // (forced W=1), and the dispatched kernels at the runtime width. All
+  // three are bit-identical; only throughput differs.
   for (bool use125 : {false, true}) {
     for (const char* path : {"naive", "fast", "simd"}) {
       KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, path};
@@ -519,19 +550,14 @@ void measure_fields(std::vector<KernelPoint>& out, std::int64_t n) {
     }
     const Box<3> box{{0, 0, 0}, {n, n, n}};
     for (bool use125 : {false, true}) {
-      KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, "simd", 0, 0, 0,
-                     simd::kActiveWidth, F};
+      KernelPoint pt{use125 ? "125pt" : "7pt", "brick", B, "simd"};
+      pt.width = path_width("simd");
+      pt.fields = F;
       measure(pt, n * n * n * F, [&] {
         for (int f = 0; f < F; ++f) {
           const std::int64_t off = f * dec.elements_per_brick();
           Brick<B, B, B> bin(&info, &in, off), bout(&info, &o, off);
-          if (use125) {
-            stencil::engine_apply125_simd<B, B, B, simd::kActiveWidth>(
-                dec, bout, bin, box);
-          } else {
-            stencil::engine_apply7_simd<B, B, B, simd::kActiveWidth>(dec, bout,
-                                                                     bin, box);
-          }
+          apply_brick_path<B>("simd", use125, dec, bout, bin, box);
         }
         benchmark::ClobberMemory();
       });
@@ -599,6 +625,7 @@ void measure_expansion(std::vector<KernelPoint>& out) {
   }
 }
 
+/// CPU-time cells/s of a single-field row.
 double find_cells_per_s(const std::vector<KernelPoint>& pts,
                         const char* kernel, const char* storage, int brick,
                         const char* path, const char* shape = "cube") {
@@ -607,7 +634,7 @@ double find_cells_per_s(const std::vector<KernelPoint>& pts,
         std::strcmp(p.storage, storage) == 0 && p.brick == brick &&
         std::strcmp(p.path, path) == 0 && p.fields == 1 &&
         std::strcmp(p.shape, shape) == 0)
-      return p.cells_per_s;
+      return p.cpu.cells_per_s;
   return 0;
 }
 
@@ -631,7 +658,10 @@ int write_json(const std::string& file, bool self_check_passed) {
   // path, and simd-vs-fast speedup ratios (DESIGN.md §16). v3: the
   // per-result shape axis ("cube" | "expansion") and expansion ratios. v4:
   // each result is the fastest of five repeats, with their max/min spread.
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  // v5: each result also by thread CPU time (cpu_*), `speedups` from CPU
+  // time, the "simd" rows run the dispatched kernels, and the provenance
+  // gives the ISA and width they run at.
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"build_type\": \"%s\",\n", BRICKX_BUILD_TYPE);
   // Provenance: trajectory points are only comparable when the toolchain
   // and vector configuration match — stamp everything that moves cells/s.
@@ -639,11 +669,13 @@ int write_json(const std::string& file, bool self_check_passed) {
   std::fprintf(f, "    \"compiler\": \"%s\",\n", BRICKX_COMPILER_ID);
   std::fprintf(f, "    \"compiler_version\": \"%s\",\n", __VERSION__);
   std::fprintf(f, "    \"cxx_flags\": \"%s\",\n", BRICKX_CXX_FLAGS);
-  std::fprintf(f, "    \"march_native\": %s,\n",
-               BRICKX_NATIVE_FLAG ? "true" : "false");
+  // simd_isa/simd_width: what the kernels run at in this process (the AVX2
+  // clone on an AVX2 host); simd_build_width: the build's own code;
+  // simd_detected_width: the compile target's, ignoring a forced width.
   std::fprintf(f, "    \"simd_isa\": \"%s\",\n", simd::isa_name());
-  std::fprintf(f, "    \"simd_detected_width\": %d,\n", simd::kDetectedWidth);
-  std::fprintf(f, "    \"simd_active_width\": %d\n", simd::kActiveWidth);
+  std::fprintf(f, "    \"simd_width\": %d,\n", simd::runtime_width());
+  std::fprintf(f, "    \"simd_build_width\": %d,\n", simd::kActiveWidth);
+  std::fprintf(f, "    \"simd_detected_width\": %d\n", simd::kDetectedWidth);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"domain\": %lld,\n", static_cast<long long>(n));
   std::fprintf(f, "  \"self_check\": \"%s\",\n",
@@ -654,19 +686,20 @@ int write_json(const std::string& file, bool self_check_passed) {
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"storage\": \"%s\", \"brick\": "
                  "%d, \"path\": \"%s\", \"shape\": \"%s\", \"width\": %d, "
-                 "\"fields\": %d, \"cells_per_s\": %.6e, \"iters\": %lld, "
-                 "\"seconds\": %.4f, \"spread\": %.3f}%s\n",
+                 "\"fields\": %d, \"iters\": %lld, \"cells_per_s\": %.6e, "
+                 "\"seconds\": %.4f, \"spread\": %.3f, \"cpu_cells_per_s\": "
+                 "%.6e, \"cpu_seconds\": %.4f, \"cpu_spread\": %.3f}%s\n",
                  p.kernel, p.storage, p.brick, p.path, p.shape, p.width,
-                 p.fields,
-                 p.cells_per_s, static_cast<long long>(p.iters), p.seconds,
-                 p.spread, i + 1 < pts.size() ? "," : "");
+                 p.fields, static_cast<long long>(p.iters), p.wall.cells_per_s,
+                 p.wall.seconds, p.wall.spread, p.cpu.cells_per_s,
+                 p.cpu.seconds, p.cpu.spread, i + 1 < pts.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  // Headline ratios of the perf trajectory: the fast path over the naive
-  // kernel (the 8^3 125-point tiles must stay >= 3x), the explicit-SIMD
-  // tiles over the scalar fast path, the same fast-over-naive ratios on
-  // the expansion shape, and how much of the cube rate the expansion
-  // shape keeps at the active width.
+  // Headline ratios of the perf trajectory, by CPU time: the fast path
+  // over the naive kernel (the 8^3 125-point tiles must stay >= 3x), the
+  // dispatched SIMD kernels over the scalar fast path, the same
+  // fast-over-naive ratios on the expansion shape, and how much of the
+  // cube rate the expansion shape keeps at the runtime width.
   struct Ratio {
     const char* name;
     const char* kernel;
@@ -720,10 +753,11 @@ int write_json(const std::string& file, bool self_check_passed) {
 
   for (const auto& p : pts)
     std::printf(
-        "%-6s %-5s b=%d %-5s %-9s W=%d F=%d : %10.3e cells/s  (%lld iters, "
-        "%.2fs, spread %.2f)\n",
+        "%-6s %-5s b=%d %-5s %-9s W=%d F=%d : %10.3e cells/s cpu (spread "
+        "%.2f), %10.3e wall (spread %.2f), %lld iters\n",
         p.kernel, p.storage, p.brick, p.path, p.shape, p.width, p.fields,
-        p.cells_per_s, static_cast<long long>(p.iters), p.seconds, p.spread);
+        p.cpu.cells_per_s, p.cpu.spread, p.wall.cells_per_s, p.wall.spread,
+        static_cast<long long>(p.iters));
   const double headline =
       find_cells_per_s(pts, "125pt", "brick", 8, "fast") /
       find_cells_per_s(pts, "125pt", "brick", 8, "naive");
@@ -731,12 +765,12 @@ int write_json(const std::string& file, bool self_check_passed) {
   const double simd_headline =
       find_cells_per_s(pts, "125pt", "brick", 8, "simd") /
       find_cells_per_s(pts, "125pt", "brick", 8, "fast");
-  std::printf("8^3 125-point simd-vs-fast speedup (W=%d): %.2fx\n",
-              simd::kActiveWidth, simd_headline);
+  std::printf("8^3 125-point simd-vs-fast speedup (%s, W=%d): %.2fx\n",
+              simd::isa_name(), simd::runtime_width(), simd_headline);
   std::printf(
       "k1_kernels expansion, brick 8, W=%d: 125-point %.3e cells/s, "
-      "7-point %.3e cells/s\n",
-      simd::kActiveWidth,
+      "7-point %.3e cells/s (CPU time)\n",
+      simd::runtime_width(),
       find_cells_per_s(pts, "125pt", "brick", 8, "simd", "expansion"),
       find_cells_per_s(pts, "7pt", "brick", 8, "simd", "expansion"));
   std::printf("micro_kernels: wrote %s\n", file.c_str());

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Perf trajectories committed at the repo root:
 #   BENCH_kernels.json       -- micro_kernels with its built-in bit-exactness
-#                               self-check (cells/s per kernel x brick size
-#                               x path — naive vs scalar-fast vs explicit
-#                               SIMD at the build's active width — plus the
+#                               self-check (cells/s by wall clock and by
+#                               thread CPU time per kernel x brick size x
+#                               path — naive vs scalar-fast vs the
+#                               dispatched explicit-SIMD kernels — plus the
 #                               AoSoA field-count axis and a build
-#                               provenance block: compiler, flags,
-#                               -march=native, detected/active vector
-#                               width). The micro_simd differential width
-#                               self-check runs first as a gate.
+#                               provenance block: compiler, flags, the ISA
+#                               and vector width the kernels run at). The
+#                               micro_simd differential width self-check
+#                               runs first as a gate.
 #   BENCH_critical_path.json -- trace_analyze --suite: critical-path
 #                               composition, wait states and overlap headroom
 #                               for a fixed roster of method x fabric x fault

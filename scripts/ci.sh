@@ -65,9 +65,11 @@ ctest --preset default -L tune
 echo "=== default preset: explicit-SIMD tier gate ==="
 # Explicit-SIMD kernel contract (DESIGN.md §16), named so a vectorization
 # or AoSoA regression fails loudly: the differential width sweeps and
-# alignment-guard unit tests, the multi-field FieldSet/ArrayFields
-# invariance suite, and micro_simd's forced-width differential self-check
-# (all also in the full suite above).
+# alignment-guard unit tests, the runtime-dispatched (AVX2 clone) kernels
+# against the naive ones, the ISA guard (no AVX code outside the clone,
+# no fused multiply-add), the multi-field FieldSet/ArrayFields invariance
+# suite, and micro_simd's forced-width differential self-check (all also
+# in the full suite above).
 ctest --preset default -L simd
 
 echo "=== asan-ubsan preset: configure + build ==="
@@ -101,9 +103,11 @@ ctest --test-dir build-noobs -j "$jobs" --output-on-failure -L unit
 
 echo "=== forced-scalar build (BRICKX_SIMD_WIDTH=1): simd + perf gates ==="
 # The width-1 override must stay a first-class build: every SIMD dispatch
-# degenerates to the scalar fast tiles and all bit-exactness gates still
-# hold. This is the configuration the `fast` rows of BENCH_kernels.json
-# model and the fallback the alignment guard selects at runtime.
+# degenerates to the scalar fast tiles, nothing dispatches to the AVX2
+# clone (simd_isa_guard finds no AVX code in this build at all), and all
+# bit-exactness gates still hold. This is the configuration the `fast`
+# rows of BENCH_kernels.json model and the fallback the alignment guard
+# selects at runtime.
 cmake -S . -B build-scalar -G Ninja \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DBRICKX_SIMD_WIDTH=1
 cmake --build build-scalar -j "$jobs"

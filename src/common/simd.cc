@@ -2,7 +2,21 @@
 
 namespace brickx::simd {
 
+int runtime_width() {
+#if BRICKX_SIMD_DISPATCH
+  // __builtin_cpu_supports also requires the OS to save ymm state (XGETBV).
+  static const int w = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? 4 : kActiveWidth;
+  }();
+  return w;
+#else
+  return kActiveWidth;
+#endif
+}
+
 const char* isa_name() {
+  if (runtime_width() != kActiveWidth) return "avx2";
 #if defined(__AVX512F__)
   return "avx512f";
 #elif defined(__AVX2__)

@@ -11,11 +11,16 @@
 /// lacks), so every width in {1, 2, 4, 8} is instantiable — and
 /// differentially testable — in a single build, on any machine.
 ///
-/// Width resolution, in priority order:
+/// Compile-time width resolution, in priority order:
 ///   1. `-DBRICKX_SIMD_WIDTH=N` (the CMake cache option of the same name),
 ///      the forced override the scalar-fallback CI pass uses;
 ///   2. the target ISA the translation unit is compiled for:
 ///      AVX-512 -> 8, AVX/AVX2 -> 4, SSE2/NEON -> 2, anything else -> 1.
+///
+/// On top of that, a build whose width is not forced and whose target is
+/// below AVX2 on x86-64 (the portable baseline, SSE2) carries one AVX2
+/// clone of the kernel engine, chosen at run time by a once-per-process
+/// CPUID check (BRICKX_SIMD_DISPATCH, runtime_width(); DESIGN.md §16).
 ///
 /// The detected width is kept separately from the active one so build
 /// provenance (BENCH_kernels.json) can record both.
@@ -31,8 +36,20 @@
 #define BRICKX_SIMD_DETECTED 1
 #endif
 
-#if !defined(BRICKX_SIMD_WIDTH)
+#if defined(BRICKX_SIMD_WIDTH)
+#define BRICKX_SIMD_FORCED 1
+#else
+#define BRICKX_SIMD_FORCED 0
 #define BRICKX_SIMD_WIDTH BRICKX_SIMD_DETECTED
+#endif
+
+/// 1 when the kernel engine carries an AVX2 clone (`[[gnu::target]]`
+/// functions) that runtime_width() may select.
+#if defined(__x86_64__) && defined(__GNUC__) && !BRICKX_SIMD_FORCED && \
+    BRICKX_SIMD_DETECTED < 4
+#define BRICKX_SIMD_DISPATCH 1
+#else
+#define BRICKX_SIMD_DISPATCH 0
 #endif
 
 static_assert(BRICKX_SIMD_WIDTH == 1 || BRICKX_SIMD_WIDTH == 2 ||
@@ -41,7 +58,8 @@ static_assert(BRICKX_SIMD_WIDTH == 1 || BRICKX_SIMD_WIDTH == 2 ||
 
 namespace brickx::simd {
 
-/// Doubles per vector the kernel tier dispatches to by default.
+/// Doubles per vector of the build's own kernel code: the width every
+/// kernel runs at unless runtime_width() selects the AVX2 clone.
 inline constexpr int kActiveWidth = BRICKX_SIMD_WIDTH;
 
 /// Width the target ISA natively supports (ignores the override).
@@ -51,7 +69,13 @@ inline constexpr int kDetectedWidth = BRICKX_SIMD_DETECTED;
 /// AVX-512 vector. BrickStorage heap allocations honor this.
 inline constexpr std::size_t kAlign = 64;
 
-/// Name of the vector ISA this translation unit targets (provenance).
+/// Doubles per vector the kernels run at in this process: 4 when this is a
+/// BRICKX_SIMD_DISPATCH build on a CPU with AVX2 (checked once per
+/// process), else kActiveWidth.
+int runtime_width();
+
+/// Name of the vector ISA the kernels run at in this process ("avx2" when
+/// runtime_width() selected the clone, else the build's target ISA).
 const char* isa_name();
 
 /// True when `p` can be the base of width-`w` aligned vector stores.
@@ -63,8 +87,10 @@ inline bool lane_aligned(const void* p, int w) {
 
 /// A vector of W doubles. Thin wrapper over the compiler vector type; the
 /// kernels use it so the 7/125-point expressions keep exactly the shape of
-/// their scalar counterparts (same adds, same order, same FMA-contraction
-/// opportunities) with one cell per lane.
+/// their scalar counterparts (same multiplies and adds, in the same order)
+/// with one cell per lane. No kernel target enables FMA: GCC contracts
+/// `a * b + c` in C++ by default, and a fused multiply-add rounds once where
+/// the naive kernels round twice.
 ///
 /// Only full specializations exist (widths 1/2/4/8): GCC does not apply a
 /// `vector_size` attribute whose operand depends on a template parameter
@@ -78,7 +104,15 @@ struct DVec;
 /// the kernels read (row stride B + 2R) and the array kernels' output rows
 /// are not lane-aligned. `may_alias`
 /// makes the casts from the underlying double arrays well-defined.
-#define BRICKX_SIMD_DVEC(W, BYTES)                                        \
+///
+/// Every member is forced inline. The kernel engine's AVX2 clone compiles
+/// these bodies at its own target only by inlining them; an out-of-line
+/// copy is baseline code, and a 32-byte vector passed by value between the
+/// two targets would cross an ABI boundary (ymm register vs. memory).
+/// The trailing macro arguments list `x` once per lane: broadcast builds
+/// the vector from that initializer list, because a lane-by-lane store
+/// loop draws a false -Wmaybe-uninitialized once inlined into the kernels.
+#define BRICKX_SIMD_DVEC(W, BYTES, ...)                                   \
   template <>                                                             \
   struct DVec<W> {                                                        \
     typedef double V __attribute__((vector_size(BYTES), may_alias));      \
@@ -88,33 +122,39 @@ struct DVec;
                                                                           \
     V v;                                                                  \
                                                                           \
-    static DVec broadcast(double x) {                                     \
-      DVec r{};                                                           \
-      for (int l = 0; l < W; ++l) r.v[l] = x;                             \
-      return r;                                                           \
+    [[gnu::always_inline]] static DVec broadcast(double x) {              \
+      return DVec{V{__VA_ARGS__}};                                        \
     }                                                                     \
-    static DVec zero() { return DVec{V{}}; }                              \
+    [[gnu::always_inline]] static DVec zero() { return DVec{V{}}; }       \
     /* Unaligned load of W consecutive doubles. */                        \
-    static DVec loadu(const double* p) {                                  \
+    [[gnu::always_inline]] static DVec loadu(const double* p) {           \
       return DVec{*reinterpret_cast<const VU*>(p)};                       \
     }                                                                     \
     /* Aligned store; `p` must satisfy lane_aligned(p, W). */             \
-    void store(double* p) const { *reinterpret_cast<V*>(p) = v; }         \
+    [[gnu::always_inline]] void store(double* p) const {                  \
+      *reinterpret_cast<V*>(p) = v;                                       \
+    }                                                                     \
     /* Unaligned store of W consecutive doubles. */                       \
-    void storeu(double* p) const { *reinterpret_cast<VU*>(p) = v; }       \
+    [[gnu::always_inline]] void storeu(double* p) const {                 \
+      *reinterpret_cast<VU*>(p) = v;                                      \
+    }                                                                     \
                                                                           \
-    double operator[](int l) const { return v[l]; }                       \
-    DVec& operator+=(DVec o) {                                            \
+    [[gnu::always_inline]] double operator[](int l) const { return v[l]; } \
+    [[gnu::always_inline]] DVec& operator+=(DVec o) {                     \
       v += o.v;                                                           \
       return *this;                                                       \
     }                                                                     \
-    friend DVec operator+(DVec a, DVec b) { return DVec{a.v + b.v}; }     \
-    friend DVec operator*(DVec a, DVec b) { return DVec{a.v * b.v}; }     \
+    [[gnu::always_inline]] friend DVec operator+(DVec a, DVec b) {        \
+      return DVec{a.v + b.v};                                             \
+    }                                                                     \
+    [[gnu::always_inline]] friend DVec operator*(DVec a, DVec b) {        \
+      return DVec{a.v * b.v};                                             \
+    }                                                                     \
   };
 
-BRICKX_SIMD_DVEC(2, 16)
-BRICKX_SIMD_DVEC(4, 32)
-BRICKX_SIMD_DVEC(8, 64)
+BRICKX_SIMD_DVEC(2, 16, x, x)
+BRICKX_SIMD_DVEC(4, 32, x, x, x, x)
+BRICKX_SIMD_DVEC(8, 64, x, x, x, x, x, x, x, x)
 
 #undef BRICKX_SIMD_DVEC
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 #include "stencil/stencils.h"
@@ -26,8 +27,11 @@ struct Span {
 /// neighbor, [1] the brick itself, [2] the high neighbor. An empty span
 /// means no cell of the clip reads that brick.
 ///
-/// The gather helpers are forced inline: they run once or more per brick
-/// on spans of a few rows, and as calls they cost more than the copies.
+/// Every helper on a kernel's per-brick or per-row path is forced inline,
+/// for two reasons. The gather helpers run once or more per brick on spans
+/// of a few rows, and as calls they cost more than the copies. And the
+/// AVX2 clone (below) compiles a kernel's call tree at its own target only
+/// through inlining: a helper left out of line is baseline code.
 template <int B, int R>
 [[gnu::always_inline]] inline std::array<Span, 3> halo_spans(
     std::int64_t c0, std::int64_t c1) {
@@ -75,8 +79,9 @@ template <int BJ, int BI, int R, int N>
 /// only those the clip's halo touches, and of each only the z and y rows
 /// it touches (whole x segments).
 template <int BK, int BJ, int BI, int R>
-void gather_cube(const Brick<BK, BJ, BI>& in, std::int64_t b,
-                 const Box<3>& c, double* tile) {
+[[gnu::always_inline]] inline void gather_cube(const Brick<BK, BJ, BI>& in,
+                                               std::int64_t b, const Box<3>& c,
+                                               double* tile) {
   const auto& adj = in.info().adjacent(b);
   const auto zs = halo_spans<BK, R>(c.lo[2], c.hi[2]);
   const auto ys = halo_spans<BJ, R>(c.lo[1], c.hi[1]);
@@ -101,8 +106,9 @@ void gather_cube(const Brick<BK, BJ, BI>& in, std::int64_t b,
 /// each y and z face neighbor the clip reads, the one-cell slab across
 /// the clip. Tile edges and corners are never read, so never gathered.
 template <int BK, int BJ, int BI>
-void gather_star(const Brick<BK, BJ, BI>& in, std::int64_t b,
-                 const Box<3>& c, double* __restrict tile) {
+[[gnu::always_inline]] inline void gather_star(const Brick<BK, BJ, BI>& in,
+                                               std::int64_t b, const Box<3>& c,
+                                               double* __restrict tile) {
   constexpr int SJ = BJ + 2, SI = BI + 2;
   const auto& adj = in.info().adjacent(b);
   const auto zs = halo_spans<BK, 1>(c.lo[2], c.hi[2]);
@@ -138,8 +144,9 @@ void gather_star(const Brick<BK, BJ, BI>& in, std::int64_t b,
 /// width: row pointers into the tile, contiguous x loop, the naive
 /// kernel's expression.
 template <int BK, int BJ, int BI>
-void compute7_tile(const double* __restrict tile, double* __restrict o,
-                   const Box<3>& c) {
+[[gnu::always_inline]] inline void compute7_tile(const double* __restrict tile,
+                                                 double* __restrict o,
+                                                 const Box<3>& c) {
   constexpr int SJ = BJ + 2, SI = BI + 2;
   const auto& w = Stencil7::c;
   for (int k = static_cast<int>(c.lo[2]); k < c.hi[2]; ++k)
@@ -161,9 +168,9 @@ void compute7_tile(const double* __restrict tile, double* __restrict o,
 /// across cells; each cell's partial sums still arrive in ascending tap
 /// order (dz slowest, dx fastest) — the naive kernel's exact FP order.
 template <int BK, int BJ, int BI>
-void compute125_tile(const double* __restrict tile,
-                     const double* __restrict w, double* __restrict o,
-                     const Box<3>& c) {
+[[gnu::always_inline]] inline void compute125_tile(
+    const double* __restrict tile, const double* __restrict w,
+    double* __restrict o, const Box<3>& c) {
   constexpr int SJ = BJ + 4, SI = BI + 4;
   for (int k = static_cast<int>(c.lo[2]); k < c.hi[2]; ++k)
     for (int j = static_cast<int>(c.lo[1]); j < c.hi[1]; ++j) {
@@ -191,8 +198,8 @@ void compute125_tile(const double* __restrict tile,
 /// with unaligned loads (row stride BI + 2 is not a lane multiple); output
 /// rows are stored aligned — the dispatch guard proved it safe.
 template <int BK, int BJ, int BI, int W>
-void compute7_tile_simd(const double* __restrict tile, double* __restrict o,
-                        const Box<3>& c) {
+[[gnu::always_inline]] inline void compute7_tile_simd(
+    const double* __restrict tile, double* __restrict o, const Box<3>& c) {
   static_assert(BI % W == 0, "guarded by the dispatcher");
   using V = simd::DVec<W>;
   constexpr int SJ = BJ + 2, SI = BI + 2;
@@ -219,28 +226,103 @@ void compute7_tile_simd(const double* __restrict tile, double* __restrict o,
     }
 }
 
+/// The class of tap (dy, dx) (each in [0, 5), offset + 2) within one dz
+/// plane of the 125-point cube: the sorted (|dy|, |dx|) pair, numbered
+/// 00, 01, 11, 02, 12, 22. Stencil125's coefficient depends only on the
+/// sorted offset triple, so a plane's 25 taps take at most these 6 values.
+constexpr int plane_class(int dy, int dx) {
+  int a = dy < 2 ? 2 - dy : dy - 2, b = dx < 2 ? 2 - dx : dx - 2;
+  if (a > b) std::swap(a, b);
+  constexpr int lut[3][3] = {{0, 1, 3}, {-1, 2, 4}, {-1, -1, 5}};
+  return lut[a][b];
+}
+
+/// The 125 taps as [dz][plane class]: each value is bit-for-bit the
+/// Stencil125::taps() entry of every tap in its class (checked once).
+using PlaneTaps = std::array<std::array<double, 6>, 5>;
+
+const PlaneTaps& plane_taps() {
+  static const PlaneTaps p = [] {
+    const auto& w = Stencil125::taps();
+    PlaneTaps q{};
+    auto slot = [&q](std::size_t t) -> double& {
+      return q[t / 25][static_cast<std::size_t>(
+          plane_class(static_cast<int>(t / 5 % 5), static_cast<int>(t % 5)))];
+    };
+    for (std::size_t t = 0; t < w.size(); ++t) slot(t) = w[t];
+    for (std::size_t t = 0; t < w.size(); ++t)
+      BX_CHECK(slot(t) == w[t], "125-point taps not symmetric in dy and dx");
+    return q;
+  }();
+  return p;
+}
+
+/// One dz plane's six tap values, broadcast once per plane and then held
+/// in registers: the 125-point kernels pick a tap's vector by its
+/// compile-time class (their dy and dx loops unroll fully) instead of
+/// broadcasting it from memory at every tap, so a tap costs one load per
+/// accumulator and no more. With the per-tap broadcast, the AVX2 brick-8
+/// tile ran 1.8x its quiet time in the slow periods of a shared host
+/// (outside load that a register-only loop barely felt); without it,
+/// 1.3x (DESIGN.md §16). Named members, not an array: GCC 12 reports an
+/// array of broadcasts as maybe-uninitialized once inlined into the AVX2
+/// clone.
+template <int W>
+struct PlaneRegs {
+  using V = simd::DVec<W>;
+  V w0, w1, w2, w3, w4, w5;
+
+  [[gnu::always_inline]] explicit PlaneRegs(const std::array<double, 6>& p)
+      : w0(V::broadcast(p[0])),
+        w1(V::broadcast(p[1])),
+        w2(V::broadcast(p[2])),
+        w3(V::broadcast(p[3])),
+        w4(V::broadcast(p[4])),
+        w5(V::broadcast(p[5])) {}
+  /// Tap (dy, dx) of the plane, each in [0, 5).
+  [[gnu::always_inline]] V at(int dy, int dx) const {
+    switch (plane_class(dy, dx)) {
+      case 0:
+        return w0;
+      case 1:
+        return w1;
+      case 2:
+        return w2;
+      case 3:
+        return w3;
+      case 4:
+        return w4;
+      default:
+        return w5;
+    }
+  }
+};
+
 /// NR consecutive 125-point output rows at full brick width, from the
 /// tile row `t0` under the first one's (dz, dy) = (0, 0) tap: taps outer,
-/// lanes inner, every accumulator in a register across all 125 taps.
+/// lanes inner, every accumulator in a register across all 125 taps, each
+/// plane's taps in registers (PlaneRegs).
 template <int BJ, int BI, int W, int NR>
-void rows125_simd(const double* __restrict t0, const double* __restrict w,
-                  double* __restrict o) {
+[[gnu::always_inline]] inline void rows125_simd(const double* __restrict t0,
+                                                const PlaneTaps& taps,
+                                                double* __restrict o) {
   using V = simd::DVec<W>;
   constexpr int SJ = BJ + 4, SI = BI + 4, NV = BI / W;
   V a[NR][NV];
   for (auto& row : a)
     for (V& v : row) v = V::zero();
-  int t = 0;
-  for (int dz = 0; dz < 5; ++dz)
+  for (int dz = 0; dz < 5; ++dz) {
+    const PlaneRegs<W> wt(taps[static_cast<std::size_t>(dz)]);
+#pragma GCC unroll 5
     for (int dy = 0; dy < 5; ++dy) {
       const double* __restrict p = t0 + (dz * SJ + dy) * SI;
-      for (int dx = 0; dx < 5; ++dx) {
-        const V wt = V::broadcast(w[t++]);
+#pragma GCC unroll 5
+      for (int dx = 0; dx < 5; ++dx)
         for (int r = 0; r < NR; ++r)
           for (int u = 0; u < NV; ++u)
-            a[r][u] += wt * V::loadu(p + r * SI + dx + u * W);
-      }
+            a[r][u] += wt.at(dy, dx) * V::loadu(p + r * SI + dx + u * W);
     }
+  }
   for (int r = 0; r < NR; ++r)
     for (int u = 0; u < NV; ++u) a[r][u].store(o + r * BI + u * W);
 }
@@ -252,18 +334,18 @@ void rows125_simd(const double* __restrict t0, const double* __restrict w,
 /// ascending dz-dy-dx tap order: bit-identical to the naive kernel at
 /// every width.
 template <int BK, int BJ, int BI, int W>
-void compute125_tile_simd(const double* __restrict tile,
-                          const double* __restrict w, double* __restrict o,
-                          const Box<3>& c) {
+[[gnu::always_inline]] inline void compute125_tile_simd(
+    const double* __restrict tile, const PlaneTaps& taps,
+    double* __restrict o, const Box<3>& c) {
   static_assert(BI % W == 0, "guarded by the dispatcher");
   constexpr int SJ = BJ + 4, SI = BI + 4;
   for (int k = static_cast<int>(c.lo[2]); k < c.hi[2]; ++k) {
     int j = static_cast<int>(c.lo[1]);
     for (; j + 1 < c.hi[1]; j += 2)
-      rows125_simd<BJ, BI, W, 2>(tile + (k * SJ + j) * SI, w,
+      rows125_simd<BJ, BI, W, 2>(tile + (k * SJ + j) * SI, taps,
                                  o + (k * BJ + j) * BI);
     if (j < c.hi[1])
-      rows125_simd<BJ, BI, W, 1>(tile + (k * SJ + j) * SI, w,
+      rows125_simd<BJ, BI, W, 1>(tile + (k * SJ + j) * SI, taps,
                                  o + (k * BJ + j) * BI);
   }
 }
@@ -272,8 +354,10 @@ void compute125_tile_simd(const double* __restrict tile,
 /// `out_cells`, with `c` the brick's overlap with `out_cells` in
 /// brick-local coordinates.
 template <int BK, int BJ, int BI, typename F>
-void for_each_clip(const BrickDecomp<3>& dec, const Box<3>& gr,
-                   const Box<3>& out_cells, F&& f) {
+[[gnu::always_inline]] inline void for_each_clip(const BrickDecomp<3>& dec,
+                                                 const Box<3>& gr,
+                                                 const Box<3>& out_cells,
+                                                 F&& f) {
   const Vec3 B{BI, BJ, BK};
   for (std::int64_t gz = gr.lo[2]; gz < gr.hi[2]; ++gz)
     for (std::int64_t gy = gr.lo[1]; gy < gr.hi[1]; ++gy)
@@ -290,7 +374,8 @@ void for_each_clip(const BrickDecomp<3>& dec, const Box<3>& gr,
 /// clip spans whole rows; else into `scratch`, then copy the clip's x
 /// range over.
 template <int BK, int BJ, int BI, typename F>
-void store_rows(double* dst, const Box<3>& c, double* scratch, F&& rows) {
+[[gnu::always_inline]] inline void store_rows(double* dst, const Box<3>& c,
+                                              double* scratch, F&& rows) {
   if (c.lo[0] == 0 && c.hi[0] == BI) {
     rows(dst);
     return;
@@ -330,6 +415,263 @@ bool simd_dispatch(const Brick<BK, BJ, BI>& out) {
   }
 }
 
+/// A brick kernel's whole call: the brick-grid range of `out_cells`, then
+/// per visited brick its halo-tile gather and its clip's rows at width W.
+/// The body of engine_apply7_simd, and of the AVX2 clone at W = 4.
+template <int BK, int BJ, int BI, int W>
+[[gnu::always_inline]] inline void apply7_tiles(const BrickDecomp<3>& dec,
+                                                const Brick<BK, BJ, BI>& out,
+                                                const Brick<BK, BJ, BI>& in,
+                                                const Box<3>& out_cells) {
+  const Box<3> gr = dec.brick_grid_range(out_cells);
+  if (gr.empty()) return;
+  const bool vec = simd_dispatch<BK, BJ, BI, W>(out);
+  // Zeroed once: a clipped brick's full-width rows read tile cells its
+  // gather skipped, for lanes that are never stored.
+  alignas(simd::kAlign) double tile[(BK + 2) * (BJ + 2) * (BI + 2)] = {};
+  alignas(simd::kAlign) double scratch[BK * BJ * BI] = {};
+  for_each_clip<BK, BJ, BI>(
+      dec, gr, out_cells,
+      [&] [[gnu::always_inline]] (std::int64_t b, const Box<3>& c) {
+        gather_star<BK, BJ, BI>(in, b, c, tile);
+        store_rows<BK, BJ, BI>(
+            out.field_data(b), c, scratch,
+            [&] [[gnu::always_inline]] (double* o) {
+              if constexpr (W > 1 && BI % W == 0) {
+                if (vec) return compute7_tile_simd<BK, BJ, BI, W>(tile, o, c);
+              }
+              compute7_tile<BK, BJ, BI>(tile, o, c);
+            });
+      });
+}
+
+/// The 125-point counterpart of apply7_tiles.
+template <int BK, int BJ, int BI, int W>
+[[gnu::always_inline]] inline void apply125_tiles(
+    const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
+    const Brick<BK, BJ, BI>& in, const Box<3>& out_cells) {
+  static_assert(BK >= 2 && BJ >= 2 && BI >= 2,
+                "brick extents must cover the radius-2 neighborhood");
+  const Box<3> gr = dec.brick_grid_range(out_cells);
+  if (gr.empty()) return;
+  const bool vec = simd_dispatch<BK, BJ, BI, W>(out);
+  const double* w = Stencil125::taps().data();
+  const PlaneTaps& taps = plane_taps();
+  // Zeroed once, as for the 7-point tile.
+  alignas(simd::kAlign) double tile[(BK + 4) * (BJ + 4) * (BI + 4)] = {};
+  alignas(simd::kAlign) double scratch[BK * BJ * BI] = {};
+  for_each_clip<BK, BJ, BI>(
+      dec, gr, out_cells,
+      [&] [[gnu::always_inline]] (std::int64_t b, const Box<3>& c) {
+        gather_cube<BK, BJ, BI, 2>(in, b, c, tile);
+        store_rows<BK, BJ, BI>(
+            out.field_data(b), c, scratch,
+            [&] [[gnu::always_inline]] (double* o) {
+              if constexpr (W > 1 && BI % W == 0) {
+                if (vec)
+                  return compute125_tile_simd<BK, BJ, BI, W>(tile, taps, o,
+                                                             c);
+              }
+              compute125_tile<BK, BJ, BI>(tile, w, o, c);
+            });
+      });
+}
+
+/// W cells of a 7-point array row from x: the naive expression, one cell
+/// per lane. W = 1 is the scalar tail.
+template <int W>
+[[gnu::always_inline]] inline void cells7(
+    const double* __restrict r0, const double* __restrict ym,
+    const double* __restrict yp, const double* __restrict zm,
+    const double* __restrict zp, std::int64_t x, double* __restrict orow) {
+  using V = simd::DVec<W>;
+  const auto& c = Stencil7::c;
+  const V r = V::broadcast(c[0]) * V::loadu(r0 + x) +
+              V::broadcast(c[1]) * V::loadu(r0 + x - 1) +
+              V::broadcast(c[2]) * V::loadu(r0 + x + 1) +
+              V::broadcast(c[3]) * V::loadu(ym + x) +
+              V::broadcast(c[4]) * V::loadu(yp + x) +
+              V::broadcast(c[5]) * V::loadu(zm + x) +
+              V::broadcast(c[6]) * V::loadu(zp + x);
+  r.storeu(orow + x);
+}
+
+/// Pointer-core 7-point row kernel shared by the CellArray3 and the
+/// multi-field span entry points: `ibase`/`obase` are frame-shaped
+/// lexicographic slabs over `ib`/`ob`. Rows run W cells at a time, then a
+/// scalar tail.
+template <int W>
+[[gnu::always_inline]] inline void apply7_rows(const Box<3>& ib,
+                                               const double* __restrict ibase,
+                                               const Box<3>& ob,
+                                               double* __restrict obase,
+                                               const Box<3>& out_cells) {
+  if (out_cells.empty()) return;
+  for (int a = 0; a < 3; ++a) {
+    BX_CHECK(ib.lo[a] <= out_cells.lo[a] - 1 &&
+                 out_cells.hi[a] + 1 <= ib.hi[a],
+             "input array does not cover the radius-1 halo of out_cells");
+    BX_CHECK(ob.lo[a] <= out_cells.lo[a] && out_cells.hi[a] <= ob.hi[a],
+             "output array does not cover out_cells");
+  }
+  const Vec3 ie = ib.extent(), oe = ob.extent();
+  const std::int64_t x0 = out_cells.lo[0];
+  const std::int64_t nx = out_cells.hi[0] - x0;
+  for (std::int64_t z = out_cells.lo[2]; z < out_cells.hi[2]; ++z)
+    for (std::int64_t y = out_cells.lo[1]; y < out_cells.hi[1]; ++y) {
+      auto irow = [&](std::int64_t zz, std::int64_t yy) {
+        return ibase +
+               ((zz - ib.lo[2]) * ie[1] + (yy - ib.lo[1])) * ie[0] +
+               (x0 - ib.lo[0]);
+      };
+      const double* __restrict r0 = irow(z, y);
+      const double* __restrict ym = irow(z, y - 1);
+      const double* __restrict yp = irow(z, y + 1);
+      const double* __restrict zm = irow(z - 1, y);
+      const double* __restrict zp = irow(z + 1, y);
+      double* __restrict orow =
+          obase + ((z - ob.lo[2]) * oe[1] + (y - ob.lo[1])) * oe[0] +
+          (x0 - ob.lo[0]);
+      std::int64_t x = 0;
+      for (; x + W <= nx; x += W) cells7<W>(r0, ym, yp, zm, zp, x, orow);
+      for (; x < nx; ++x) cells7<1>(r0, ym, yp, zm, zp, x, orow);
+    }
+}
+
+/// N vectors of W cells of a 125-point array row from x, each accumulator
+/// in a register across all 125 taps, each plane's taps in registers
+/// (PlaneRegs). `rows` holds the 25 (dz, dy) row base pointers, each
+/// positioned two cells before x = 0. The loops over the N accumulators
+/// must unroll fully, or `a` stays an array in memory: at -O2 GCC unrolls
+/// a loop of two on its own but not one of four.
+template <int W, int N>
+[[gnu::always_inline]] inline void block125(const double* const* rows,
+                                            const PlaneTaps& taps,
+                                            std::int64_t x,
+                                            double* __restrict orow) {
+  using V = simd::DVec<W>;
+  V a[N];
+#pragma GCC unroll 4
+  for (V& v : a) v = V::zero();
+  for (int dz = 0; dz < 5; ++dz) {
+    const PlaneRegs<W> wt(taps[static_cast<std::size_t>(dz)]);
+#pragma GCC unroll 5
+    for (int dy = 0; dy < 5; ++dy) {
+      const double* __restrict p = rows[dz * 5 + dy] + x;
+#pragma GCC unroll 5
+      for (int dx = 0; dx < 5; ++dx)
+#pragma GCC unroll 4
+        for (int u = 0; u < N; ++u)
+          a[u] += wt.at(dy, dx) * V::loadu(p + dx + u * W);
+    }
+  }
+#pragma GCC unroll 4
+  for (int u = 0; u < N; ++u) a[u].storeu(orow + x + u * W);
+}
+
+/// Pointer-core 125-point row kernel (same sharing). Each row runs in
+/// blocks of 4·W cells, four DVec<W> accumulators per block, as the brick
+/// tiles do; then in single-vector blocks of W, so a row shorter than 4·W
+/// still runs vectorized; then the last nx mod W cells one by one. Each
+/// accumulates every cell in ascending dz-dy-dx tap order, the naive FP
+/// order, so every width is bit-identical to apply125_array_naive.
+template <int W>
+[[gnu::always_inline]] inline void apply125_rows(
+    const Box<3>& ib, const double* __restrict ibase, const Box<3>& ob,
+    double* __restrict obase, const Box<3>& out_cells) {
+  if (out_cells.empty()) return;
+  const PlaneTaps& taps = plane_taps();
+  for (int a = 0; a < 3; ++a) {
+    BX_CHECK(ib.lo[a] <= out_cells.lo[a] - 2 &&
+                 out_cells.hi[a] + 2 <= ib.hi[a],
+             "input array does not cover the radius-2 halo of out_cells");
+    BX_CHECK(ob.lo[a] <= out_cells.lo[a] && out_cells.hi[a] <= ob.hi[a],
+             "output array does not cover out_cells");
+  }
+  const Vec3 ie = ib.extent(), oe = ob.extent();
+  const std::int64_t x0 = out_cells.lo[0];
+  const std::int64_t nx = out_cells.hi[0] - x0;
+  for (std::int64_t z = out_cells.lo[2]; z < out_cells.hi[2]; ++z)
+    for (std::int64_t y = out_cells.lo[1]; y < out_cells.hi[1]; ++y) {
+      const double* rows[25];
+      for (int dz = 0; dz < 5; ++dz)
+        for (int dy = 0; dy < 5; ++dy)
+          rows[dz * 5 + dy] =
+              ibase +
+              ((z + dz - 2 - ib.lo[2]) * ie[1] + (y + dy - 2 - ib.lo[1])) *
+                  ie[0] +
+              (x0 - 2 - ib.lo[0]);
+      double* __restrict orow =
+          obase + ((z - ob.lo[2]) * oe[1] + (y - ob.lo[1])) * oe[0] +
+          (x0 - ob.lo[0]);
+      std::int64_t x = 0;
+      for (; x + 4 * W <= nx; x += 4 * W) block125<W, 4>(rows, taps, x, orow);
+      for (; x + W <= nx; x += W) block125<W, 1>(rows, taps, x, orow);
+      for (; x < nx; ++x) block125<1, 1>(rows, taps, x, orow);
+    }
+}
+
+#if BRICKX_SIMD_DISPATCH
+// The AVX2 clone (DESIGN.md §16). Each function below compiles one kernel
+// family's whole call tree at width 4 for AVX2: every helper it calls in
+// this file is forced inline, so it takes this target, while what stays out
+// of line (the storage guard, diagnostics, the library) is baseline code.
+// The target enables no FMA, so each lane rounds exactly as the naive
+// kernels do. The functions have internal linkage and are reached only
+// through the runtime_width() checks in the entry points, so no code shared
+// with another translation unit is ever AVX code (ctest simd_isa_guard).
+template <int BK, int BJ, int BI>
+[[gnu::target("avx2")]] void apply7_avx2(const BrickDecomp<3>& dec,
+                                         const Brick<BK, BJ, BI>& out,
+                                         const Brick<BK, BJ, BI>& in,
+                                         const Box<3>& out_cells) {
+  apply7_tiles<BK, BJ, BI, 4>(dec, out, in, out_cells);
+}
+
+template <int BK, int BJ, int BI>
+[[gnu::target("avx2")]] void apply125_avx2(const BrickDecomp<3>& dec,
+                                           const Brick<BK, BJ, BI>& out,
+                                           const Brick<BK, BJ, BI>& in,
+                                           const Box<3>& out_cells) {
+  apply125_tiles<BK, BJ, BI, 4>(dec, out, in, out_cells);
+}
+
+[[gnu::target("avx2")]] void apply7_rows_avx2(const Box<3>& ib,
+                                              const double* ibase,
+                                              const Box<3>& ob, double* obase,
+                                              const Box<3>& out_cells) {
+  apply7_rows<4>(ib, ibase, ob, obase, out_cells);
+}
+
+[[gnu::target("avx2")]] void apply125_rows_avx2(const Box<3>& ib,
+                                                const double* ibase,
+                                                const Box<3>& ob,
+                                                double* obase,
+                                                const Box<3>& out_cells) {
+  apply125_rows<4>(ib, ibase, ob, obase, out_cells);
+}
+#endif
+
+/// The array kernels' dispatch: the AVX2 clone when runtime_width()
+/// selected it, else the build's own rows (the 7-point ones scalar).
+void rows7(const Box<3>& ib, const double* ibase, const Box<3>& ob,
+           double* obase, const Box<3>& out_cells) {
+#if BRICKX_SIMD_DISPATCH
+  if (simd::runtime_width() == 4)
+    return apply7_rows_avx2(ib, ibase, ob, obase, out_cells);
+#endif
+  apply7_rows<1>(ib, ibase, ob, obase, out_cells);
+}
+
+void rows125(const Box<3>& ib, const double* ibase, const Box<3>& ob,
+             double* obase, const Box<3>& out_cells) {
+#if BRICKX_SIMD_DISPATCH
+  if (simd::runtime_width() == 4)
+    return apply125_rows_avx2(ib, ibase, ob, obase, out_cells);
+#endif
+  apply125_rows<simd::kActiveWidth>(ib, ibase, ob, obase, out_cells);
+}
+
 }  // namespace
 
 const char* simd_storage_reason(const void* base, std::size_t brick_bytes,
@@ -350,23 +692,7 @@ template <int BK, int BJ, int BI, int W>
 void engine_apply7_simd(const BrickDecomp<3>& dec,
                         const Brick<BK, BJ, BI>& out,
                         const Brick<BK, BJ, BI>& in, const Box<3>& out_cells) {
-  const Box<3> gr = dec.brick_grid_range(out_cells);
-  if (gr.empty()) return;
-  const bool vec = simd_dispatch<BK, BJ, BI, W>(out);
-  // Zeroed once: a clipped brick's full-width rows read tile cells its
-  // gather skipped, for lanes that are never stored.
-  alignas(simd::kAlign) double tile[(BK + 2) * (BJ + 2) * (BI + 2)] = {};
-  alignas(simd::kAlign) double scratch[BK * BJ * BI] = {};
-  for_each_clip<BK, BJ, BI>(
-      dec, gr, out_cells, [&](std::int64_t b, const Box<3>& c) {
-        gather_star<BK, BJ, BI>(in, b, c, tile);
-        store_rows<BK, BJ, BI>(out.field_data(b), c, scratch, [&](double* o) {
-          if constexpr (W > 1 && BI % W == 0) {
-            if (vec) return compute7_tile_simd<BK, BJ, BI, W>(tile, o, c);
-          }
-          compute7_tile<BK, BJ, BI>(tile, o, c);
-        });
-      });
+  apply7_tiles<BK, BJ, BI, W>(dec, out, in, out_cells);
 }
 
 template <int BK, int BJ, int BI, int W>
@@ -374,36 +700,26 @@ void engine_apply125_simd(const BrickDecomp<3>& dec,
                           const Brick<BK, BJ, BI>& out,
                           const Brick<BK, BJ, BI>& in,
                           const Box<3>& out_cells) {
-  static_assert(BK >= 2 && BJ >= 2 && BI >= 2,
-                "brick extents must cover the radius-2 neighborhood");
-  const Box<3> gr = dec.brick_grid_range(out_cells);
-  if (gr.empty()) return;
-  const bool vec = simd_dispatch<BK, BJ, BI, W>(out);
-  const double* w = Stencil125::taps().data();
-  // Zeroed once, as for the 7-point tile.
-  alignas(simd::kAlign) double tile[(BK + 4) * (BJ + 4) * (BI + 4)] = {};
-  alignas(simd::kAlign) double scratch[BK * BJ * BI] = {};
-  for_each_clip<BK, BJ, BI>(
-      dec, gr, out_cells, [&](std::int64_t b, const Box<3>& c) {
-        gather_cube<BK, BJ, BI, 2>(in, b, c, tile);
-        store_rows<BK, BJ, BI>(out.field_data(b), c, scratch, [&](double* o) {
-          if constexpr (W > 1 && BI % W == 0) {
-            if (vec) return compute125_tile_simd<BK, BJ, BI, W>(tile, w, o, c);
-          }
-          compute125_tile<BK, BJ, BI>(tile, w, o, c);
-        });
-      });
+  apply125_tiles<BK, BJ, BI, W>(dec, out, in, out_cells);
 }
 
 template <int BK, int BJ, int BI>
 void engine_apply7(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                    const Brick<BK, BJ, BI>& in, const Box<3>& out_cells) {
+#if BRICKX_SIMD_DISPATCH
+  if (simd::runtime_width() == 4)
+    return apply7_avx2<BK, BJ, BI>(dec, out, in, out_cells);
+#endif
   engine_apply7_simd<BK, BJ, BI, simd::kActiveWidth>(dec, out, in, out_cells);
 }
 
 template <int BK, int BJ, int BI>
 void engine_apply125(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                      const Brick<BK, BJ, BI>& in, const Box<3>& out_cells) {
+#if BRICKX_SIMD_DISPATCH
+  if (simd::runtime_width() == 4)
+    return apply125_avx2<BK, BJ, BI>(dec, out, in, out_cells);
+#endif
   engine_apply125_simd<BK, BJ, BI, simd::kActiveWidth>(dec, out, in,
                                                        out_cells);
 }
@@ -443,112 +759,12 @@ template void engine_apply125<8, 8, 8>(const BrickDecomp<3>&,
                                        const Brick<8, 8, 8>&,
                                        const Brick<8, 8, 8>&, const Box<3>&);
 
-namespace {
-
-/// Pointer-core 7-point row kernel shared by the CellArray3 and the
-/// multi-field span entry points: `ibase`/`obase` are frame-shaped
-/// lexicographic slabs over `ib`/`ob`.
-void apply7_rows(const Box<3>& ib, const double* __restrict ibase,
-                 const Box<3>& ob, double* __restrict obase,
-                 const Box<3>& out_cells) {
-  if (out_cells.empty()) return;
-  const auto& c = Stencil7::c;
-  for (int a = 0; a < 3; ++a) {
-    BX_CHECK(ib.lo[a] <= out_cells.lo[a] - 1 &&
-                 out_cells.hi[a] + 1 <= ib.hi[a],
-             "input array does not cover the radius-1 halo of out_cells");
-    BX_CHECK(ob.lo[a] <= out_cells.lo[a] && out_cells.hi[a] <= ob.hi[a],
-             "output array does not cover out_cells");
-  }
-  const Vec3 ie = ib.extent(), oe = ob.extent();
-  const std::int64_t x0 = out_cells.lo[0];
-  const std::int64_t nx = out_cells.hi[0] - x0;
-  for (std::int64_t z = out_cells.lo[2]; z < out_cells.hi[2]; ++z)
-    for (std::int64_t y = out_cells.lo[1]; y < out_cells.hi[1]; ++y) {
-      auto irow = [&](std::int64_t zz, std::int64_t yy) {
-        return ibase +
-               ((zz - ib.lo[2]) * ie[1] + (yy - ib.lo[1])) * ie[0] +
-               (x0 - ib.lo[0]);
-      };
-      const double* __restrict r0 = irow(z, y);
-      const double* __restrict ym = irow(z, y - 1);
-      const double* __restrict yp = irow(z, y + 1);
-      const double* __restrict zm = irow(z - 1, y);
-      const double* __restrict zp = irow(z + 1, y);
-      double* __restrict orow =
-          obase + ((z - ob.lo[2]) * oe[1] + (y - ob.lo[1])) * oe[0] +
-          (x0 - ob.lo[0]);
-      for (std::int64_t x = 0; x < nx; ++x)
-        orow[x] = c[0] * r0[x] + c[1] * r0[x - 1] + c[2] * r0[x + 1] +
-                  c[3] * ym[x] + c[4] * yp[x] + c[5] * zm[x] + c[6] * zp[x];
-    }
-}
-
-/// Pointer-core 125-point row kernel (same sharing). Each row runs in
-/// blocks of 4·W cells whose accumulators stay in four DVec<W> registers
-/// across all 125 taps, as the brick tiles' do; the last nx mod 4·W
-/// cells take a scalar loop. Both accumulate every cell in ascending
-/// dz-dy-dx tap order, the naive FP order, so every width is
-/// bit-identical to apply125_array_naive.
 template <int W>
-void apply125_rows(const Box<3>& ib, const double* __restrict ibase,
-                   const Box<3>& ob, double* __restrict obase,
-                   const Box<3>& out_cells) {
-  if (out_cells.empty()) return;
-  using V = simd::DVec<W>;
-  constexpr int U = 4;  // vectors in flight per block
-  const double* w = Stencil125::taps().data();
-  for (int a = 0; a < 3; ++a) {
-    BX_CHECK(ib.lo[a] <= out_cells.lo[a] - 2 &&
-                 out_cells.hi[a] + 2 <= ib.hi[a],
-             "input array does not cover the radius-2 halo of out_cells");
-    BX_CHECK(ob.lo[a] <= out_cells.lo[a] && out_cells.hi[a] <= ob.hi[a],
-             "output array does not cover out_cells");
-  }
-  const Vec3 ie = ib.extent(), oe = ob.extent();
-  const std::int64_t x0 = out_cells.lo[0];
-  const std::int64_t nx = out_cells.hi[0] - x0;
-  for (std::int64_t z = out_cells.lo[2]; z < out_cells.hi[2]; ++z)
-    for (std::int64_t y = out_cells.lo[1]; y < out_cells.hi[1]; ++y) {
-      // 25 row base pointers (dz, dy), each positioned at x0 - 2 so the
-      // dx tap loop reads p[dx] for dx in [0, 5).
-      const double* rows[25];
-      for (int dz = 0; dz < 5; ++dz)
-        for (int dy = 0; dy < 5; ++dy)
-          rows[dz * 5 + dy] =
-              ibase +
-              ((z + dz - 2 - ib.lo[2]) * ie[1] + (y + dy - 2 - ib.lo[1])) *
-                  ie[0] +
-              (x0 - 2 - ib.lo[0]);
-      double* __restrict orow =
-          obase + ((z - ob.lo[2]) * oe[1] + (y - ob.lo[1])) * oe[0] +
-          (x0 - ob.lo[0]);
-      std::int64_t x = 0;
-      for (; x + U * W <= nx; x += U * W) {
-        V a[U];
-        for (V& v : a) v = V::zero();
-        int t = 0;
-        for (int zy = 0; zy < 25; ++zy) {
-          const double* __restrict p = rows[zy] + x;
-          for (int dx = 0; dx < 5; ++dx) {
-            const V wt = V::broadcast(w[t++]);
-            for (int u = 0; u < U; ++u)
-              a[u] += wt * V::loadu(p + dx + u * W);
-          }
-        }
-        for (int u = 0; u < U; ++u) a[u].storeu(orow + x + u * W);
-      }
-      for (; x < nx; ++x) {
-        double acc = 0.0;
-        int t = 0;
-        for (int zy = 0; zy < 25; ++zy)
-          for (int dx = 0; dx < 5; ++dx) acc += w[t++] * rows[zy][x + dx];
-        orow[x] = acc;
-      }
-    }
+void engine_apply7_array_simd(const CellArray3& in, CellArray3& out,
+                              const Box<3>& out_cells) {
+  apply7_rows<W>(in.box(), in.raw().data(), out.box(), out.raw().data(),
+                 out_cells);
 }
-
-}  // namespace
 
 template <int W>
 void engine_apply125_array_simd(const CellArray3& in, CellArray3& out,
@@ -557,34 +773,37 @@ void engine_apply125_array_simd(const CellArray3& in, CellArray3& out,
                    out_cells);
 }
 
-template void engine_apply125_array_simd<1>(const CellArray3&, CellArray3&,
-                                            const Box<3>&);
-template void engine_apply125_array_simd<2>(const CellArray3&, CellArray3&,
-                                            const Box<3>&);
-template void engine_apply125_array_simd<4>(const CellArray3&, CellArray3&,
-                                            const Box<3>&);
-template void engine_apply125_array_simd<8>(const CellArray3&, CellArray3&,
-                                            const Box<3>&);
+#define BRICKX_INSTANTIATE_ARRAY_W(W)                                      \
+  template void engine_apply7_array_simd<W>(const CellArray3&, CellArray3&, \
+                                            const Box<3>&);                \
+  template void engine_apply125_array_simd<W>(const CellArray3&,           \
+                                              CellArray3&, const Box<3>&);
+
+BRICKX_INSTANTIATE_ARRAY_W(1)
+BRICKX_INSTANTIATE_ARRAY_W(2)
+BRICKX_INSTANTIATE_ARRAY_W(4)
+BRICKX_INSTANTIATE_ARRAY_W(8)
+
+#undef BRICKX_INSTANTIATE_ARRAY_W
 
 void engine_apply7_array(const CellArray3& in, CellArray3& out,
                          const Box<3>& out_cells) {
-  apply7_rows(in.box(), in.raw().data(), out.box(), out.raw().data(),
-              out_cells);
+  rows7(in.box(), in.raw().data(), out.box(), out.raw().data(), out_cells);
 }
 
 void engine_apply125_array(const CellArray3& in, CellArray3& out,
                            const Box<3>& out_cells) {
-  engine_apply125_array_simd<simd::kActiveWidth>(in, out, out_cells);
+  rows125(in.box(), in.raw().data(), out.box(), out.raw().data(), out_cells);
 }
 
 void engine_apply7_span(const Box<3>& frame, const double* in, double* out,
                         const Box<3>& out_cells) {
-  apply7_rows(frame, in, frame, out, out_cells);
+  rows7(frame, in, frame, out, out_cells);
 }
 
 void engine_apply125_span(const Box<3>& frame, const double* in, double* out,
                           const Box<3>& out_cells) {
-  apply125_rows<simd::kActiveWidth>(frame, in, frame, out, out_cells);
+  rows125(frame, in, frame, out, out_cells);
 }
 
 }  // namespace brickx::stencil

@@ -36,14 +36,20 @@ namespace brickx::stencil {
 ///     hoist per-(z, y) row base pointers out of the contiguous x loop;
 ///     the 125-point one keeps 4·W cells' accumulators in DVec<W>
 ///     registers across all 125 taps (DESIGN.md §16).
+///
+/// Every entry point below that has no W parameter runs at
+/// simd::runtime_width(): in a BRICKX_SIMD_DISPATCH build on a CPU with
+/// AVX2 it routes to an internal AVX2 clone at width 4, else it runs the
+/// build's own code at simd::kActiveWidth (DESIGN.md §16). Both are
+/// bit-identical to the naive kernels.
 
 /// Fast 7-point / 125-point brick kernels; drop-in replacements for the
 /// naive apply7_bricks / apply125_bricks bodies (stencils.cc delegates
 /// here). Bit-identical to the naive kernels by construction; verified by
-/// tests/stencil_kernel_test.cc. These dispatch the tile compute to the
-/// explicit-SIMD path at simd::kActiveWidth (DESIGN.md §16); the
-/// forced-width *_simd variants below expose every width for differential
-/// testing and the width axis of BENCH_kernels.json.
+/// tests/stencil_kernel_test.cc. These run the tile compute on the
+/// explicit-SIMD path at simd::runtime_width() (DESIGN.md §16); the
+/// forced-width *_simd variants below expose every width of the build's
+/// own code for differential testing.
 template <int BK, int BJ, int BI>
 void engine_apply7(const BrickDecomp<3>& dec, const Brick<BK, BJ, BI>& out,
                    const Brick<BK, BJ, BI>& in, const Box<3>& out_cells);
@@ -96,17 +102,23 @@ const char* simd_brick_reason(const Brick<BK, BJ, BI>& br, int w) {
 /// Fast lexicographic-array kernels (row-pointer inner loops). `in` must
 /// cover `out_cells` expanded by the stencil radius; `out` must cover
 /// `out_cells`. The 125-point one (and its span variant) runs the
-/// register-blocked rows at simd::kActiveWidth.
+/// register-blocked rows at simd::runtime_width(); the 7-point one runs
+/// width-4 rows in the AVX2 clone and scalar rows otherwise.
 void engine_apply7_array(const CellArray3& in, CellArray3& out,
                          const Box<3>& out_cells);
 void engine_apply125_array(const CellArray3& in, CellArray3& out,
                            const Box<3>& out_cells);
 
-/// Forced-width 125-point array kernel: rows run in blocks of 4·W cells
-/// held in DVec<W> registers across all 125 taps, then a scalar tail; the
-/// same dz-dy-dx order per cell, so bit-identical to apply125_array_naive
-/// at every width. Output rows need no alignment (unaligned stores).
-/// Instantiated for W in {1, 2, 4, 8}.
+/// Forced-width array kernels. The 7-point rows run W cells at a time,
+/// then a scalar tail. The 125-point rows run in blocks of 4·W cells held
+/// in DVec<W> registers across all 125 taps, then in single-vector blocks
+/// of W, then a scalar tail. Each cell keeps the naive expression order,
+/// so both are bit-identical to the naive kernels at every width. Output
+/// rows need no alignment (unaligned stores). Instantiated for W in
+/// {1, 2, 4, 8}.
+template <int W>
+void engine_apply7_array_simd(const CellArray3& in, CellArray3& out,
+                              const Box<3>& out_cells);
 template <int W>
 void engine_apply125_array_simd(const CellArray3& in, CellArray3& out,
                                 const Box<3>& out_cells);

@@ -6,13 +6,16 @@
 // the whole matrix runs in one build. The register-blocked 125-point array
 // kernel gets the same width sweep. Plus the alignment guard
 // (simd_storage_reason) unit-tested for every width, the BrickStorage
-// alignment contract, and the AoSoA per-field dispatch.
+// alignment contract, the AoSoA per-field dispatch, and the runtime
+// dispatch: the entry points without a width parameter, which run the
+// AVX2 clone on a CPU that has AVX2, against the naive kernels.
 
 #include "stencil/kernel_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/simd.h"
@@ -141,11 +144,13 @@ TEST(SimdWidths, ActiveWidthIsSupported) {
   EXPECT_STRNE(simd::isa_name(), "");
 }
 
-// The 125-point array kernel at every width: blocks of 4·W cells held in
-// registers plus a scalar tail must be bit-identical to the naive kernel
-// for every row length 1 … 8·W + 1 — every tail length after zero, one
-// and two whole blocks — with rows starting at an odd x offset, so the
-// output stores are unaligned.
+// The array kernels at every width. The 125-point rows run blocks of 4·W
+// cells held in registers, then single-vector blocks of W, then a scalar
+// tail; the 7-point rows run W cells at a time, then a scalar tail. Both
+// must be bit-identical to the naive kernels for every row length
+// 1 … 8·W + 1 — every block mix and tail length after zero, one and two
+// whole 4·W blocks — with rows starting at an odd x offset, so the output
+// stores are unaligned.
 template <int W>
 void expect_array_width_identical() {
   const Box<3> frame{{-3, -3, -3}, {8 * W + 6, 6, 6}};
@@ -154,13 +159,20 @@ void expect_array_width_identical() {
   for_each(frame, [&](const Vec3& p) { in.at(p) = rng.uniform() - 0.5; });
   for (std::int64_t nx = 1; nx <= 8 * W + 1; ++nx) {
     const Box<3> box{{1, 0, -1}, {1 + nx, 3, 2}};
-    CellArray3 vec(frame), naive(frame);
-    engine_apply125_array_simd<W>(in, vec, box);
-    apply125_array_naive(in, naive, box);
-    EXPECT_EQ(std::memcmp(vec.raw().data(), naive.raw().data(),
-                          vec.raw().size() * sizeof(double)),
-              0)
-        << "W=" << W << " nx=" << nx;
+    for (bool use125 : {false, true}) {
+      CellArray3 vec(frame), naive(frame);
+      if (use125) {
+        engine_apply125_array_simd<W>(in, vec, box);
+        apply125_array_naive(in, naive, box);
+      } else {
+        engine_apply7_array_simd<W>(in, vec, box);
+        apply7_array_naive(in, naive, box);
+      }
+      EXPECT_EQ(std::memcmp(vec.raw().data(), naive.raw().data(),
+                            vec.raw().size() * sizeof(double)),
+                0)
+          << "W=" << W << " nx=" << nx << " use125=" << use125;
+    }
   }
 }
 
@@ -269,6 +281,141 @@ TEST(SimdWidths, MultiFieldOffsetsMatchSingleField) {
             << "use125=" << use125 << " field=" << f << " brick=" << b;
     }
   }
+}
+
+// ---- runtime dispatch ------------------------------------------------------
+
+// The width the kernels run at: the forced width in a BRICKX_SIMD_WIDTH
+// build, which never dispatches; 4 in a dispatching build on a CPU with
+// AVX2; else the build's own width.
+TEST(Dispatch, RuntimeWidthIsForcedOrHostWidth) {
+  int expected = simd::kActiveWidth;
+#if BRICKX_SIMD_DISPATCH
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) expected = 4;
+#endif
+  EXPECT_EQ(simd::runtime_width(), expected);
+  if (BRICKX_SIMD_FORCED) {
+    EXPECT_EQ(simd::runtime_width(), BRICKX_SIMD_WIDTH);
+  }
+  if (simd::runtime_width() != simd::kActiveWidth) {
+    EXPECT_STREQ(simd::isa_name(), "avx2");
+  }
+}
+
+/// The dispatched brick kernel vs the naive one over every expansion step
+/// of the smallest subdomain ghost `g` allows (2g per axis). One naive
+/// reference on single-field heap storage; the dispatched kernel runs on
+/// three storages holding the same input: single-field heap, the last of
+/// four heap fields (element offset 3·B³, the other fields holding other
+/// values), and single-field memfd. Every brick's computed field must
+/// equal the reference's, and the other fields must stay zero.
+template <int B>
+void expect_dispatch_identical(bool use125, std::int64_t g,
+                               std::uint64_t seed) {
+  const std::int64_t r = use125 ? 2 : 1, n = 2 * g;
+  BrickDecomp<3> dec(Vec3::fill(n), g, Vec3::fill(B), surface3d());
+  BrickInfo<3> info = dec.brick_info();
+  const std::int64_t e = dec.elements_per_brick();
+  const std::size_t field_bytes = static_cast<std::size_t>(e) * sizeof(double);
+  struct Case {
+    const char* name;
+    BrickStorage (*alloc)(const BrickDecomp<3>&);
+    int fields;
+  };
+  const Case cases[] = {
+      {"heap", [](const BrickDecomp<3>& d) { return d.allocate(1); }, 1},
+      {"heap fields=4", [](const BrickDecomp<3>& d) { return d.allocate(4); },
+       4},
+      {"memfd", [](const BrickDecomp<3>& d) { return d.mmap_alloc(1); }, 1}};
+  BrickStorage ref_in = dec.allocate(1);
+  Rng rng(seed);
+  fill_random(dec, ref_in, rng);
+  std::vector<BrickStorage> ins;
+  for (const Case& k : cases) {
+    ins.push_back(k.alloc(dec));
+    fill_random(dec, ins.back(), rng);
+    for (std::int64_t b = 0; b < dec.total_brick_count(); ++b)
+      std::memcpy(ins.back().brick(b) + (k.fields - 1) * e, ref_in.brick(b),
+                  field_bytes);
+  }
+  const std::vector<double> zeros(static_cast<std::size_t>(e));
+  Brick<B, B, B> rin(&info, &ref_in, 0);
+  for (std::int64_t s = 0; s < steps_per_exchange(g, r); ++s) {
+    const Box<3> box = expansion_output_box<3>(Vec3::fill(n), g, r, s);
+    BrickStorage ref = dec.allocate(1);
+    Brick<B, B, B> rout(&info, &ref, 0);
+    if (use125) {
+      apply125_bricks_naive<B, B, B>(dec, rout, rin, box);
+    } else {
+      apply7_bricks_naive<B, B, B>(dec, rout, rin, box);
+    }
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      const Case& k = cases[c];
+      const std::int64_t off = (k.fields - 1) * e;
+      BrickStorage out = k.alloc(dec);
+      Brick<B, B, B> bin(&info, &ins[c], off), bout(&info, &out, off);
+      if (use125) {
+        engine_apply125<B, B, B>(dec, bout, bin, box);
+      } else {
+        engine_apply7<B, B, B>(dec, bout, bin, box);
+      }
+      for (std::int64_t b = 0; b < dec.total_brick_count(); ++b)
+        for (int f = 0; f < k.fields; ++f) {
+          const double* want = f == k.fields - 1 ? ref.brick(b) : zeros.data();
+          ASSERT_EQ(std::memcmp(out.brick(b) + f * e, want, field_bytes), 0)
+              << k.name << " B=" << B << " use125=" << use125 << " g=" << g
+              << " step=" << s << " brick=" << b << " field=" << f;
+        }
+    }
+  }
+}
+
+TEST(Dispatch, BrickKernelsMatchNaiveBitExactly) {
+  for (bool use125 : {false, true}) {
+    const std::uint64_t seed = use125 ? 9100 : 9000;
+    expect_dispatch_identical<4>(use125, 4, seed + 1);
+    expect_dispatch_identical<4>(use125, 8, seed + 2);
+    expect_dispatch_identical<8>(use125, 8, seed + 3);
+    expect_dispatch_identical<8>(use125, 16, seed + 4);
+  }
+}
+
+// The dispatched array and span kernels vs the naive ones, for every row
+// length 1 … 33 (past two whole 16-cell blocks of the width-4 rows)
+// starting at an odd x, and over a full slab.
+TEST(Dispatch, ArrayKernelsMatchNaiveBitExactly) {
+  const Box<3> frame{{-3, -3, -3}, {40, 7, 7}};
+  CellArray3 in(frame);
+  Rng rng(4242);
+  for_each(frame, [&](const Vec3& p) { in.at(p) = rng.uniform() - 0.5; });
+  std::vector<Box<3>> boxes;
+  for (std::int64_t nx = 1; nx <= 33; ++nx)
+    boxes.push_back(Box<3>{{1, -1, 0}, {1 + nx, 2, 3}});
+  boxes.push_back(Box<3>{{-1, -1, -1}, {38, 5, 5}});
+  const std::size_t bytes = in.raw().size() * sizeof(double);
+  for (const Box<3>& box : boxes)
+    for (bool use125 : {false, true}) {
+      CellArray3 arr(frame), naive(frame);
+      std::vector<double> span(in.raw().size()), span_naive(span.size());
+      if (use125) {
+        engine_apply125_array(in, arr, box);
+        apply125_array_naive(in, naive, box);
+        engine_apply125_span(frame, in.raw().data(), span.data(), box);
+        apply125_span_naive(frame, in.raw().data(), span_naive.data(), box);
+      } else {
+        engine_apply7_array(in, arr, box);
+        apply7_array_naive(in, naive, box);
+        engine_apply7_span(frame, in.raw().data(), span.data(), box);
+        apply7_span_naive(frame, in.raw().data(), span_naive.data(), box);
+      }
+      EXPECT_EQ(std::memcmp(arr.raw().data(), naive.raw().data(), bytes), 0)
+          << "array use125=" << use125 << " nx=" << box.extent()[0];
+      EXPECT_EQ(std::memcmp(span.data(), naive.raw().data(), bytes), 0)
+          << "span use125=" << use125 << " nx=" << box.extent()[0];
+      EXPECT_EQ(std::memcmp(span_naive.data(), naive.raw().data(), bytes), 0)
+          << "naive span use125=" << use125;
+    }
 }
 
 }  // namespace
