@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "memmap/pagesize.h"
@@ -89,22 +90,38 @@ ViewBuilder& ViewBuilder::add(std::size_t offset, std::size_t length) {
 View ViewBuilder::build() const {
   View v;
   if (total_ == 0) return v;
-  // Reserve the contiguous range first so nothing else can land inside it,
-  // then overwrite it segment by segment with MAP_FIXED file mappings.
-  void* base = mmap(nullptr, total_, PROT_NONE,
-                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (base == MAP_FAILED) sys_fail("mmap(reserve)");
-  std::size_t at = 0;
+  // Consecutive segments whose file ranges touch form one run, mapped by
+  // one mmap; the view still reports its logical segments.
+  std::vector<Seg> runs;
   for (const auto& s : segs_) {
-    void* want = static_cast<std::byte*>(base) + at;
-    void* got = mmap(want, s.length, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_FIXED, file_->fd(),
-                     static_cast<off_t>(s.offset));
-    if (got == MAP_FAILED) {
-      munmap(base, total_);
-      sys_fail("mmap(MAP_FIXED segment)");
+    if (!runs.empty() && runs.back().offset + runs.back().length == s.offset)
+      runs.back().length += s.length;
+    else
+      runs.push_back(s);
+  }
+  void* base = nullptr;
+  if (runs.size() == 1) {
+    base = mmap(nullptr, total_, PROT_READ | PROT_WRITE, MAP_SHARED,
+                file_->fd(), static_cast<off_t>(runs.front().offset));
+    if (base == MAP_FAILED) sys_fail("mmap(view)");
+  } else {
+    // Reserve the contiguous range first so nothing else can land inside
+    // it, then overwrite it run by run with MAP_FIXED file mappings.
+    base = mmap(nullptr, total_, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                0);
+    if (base == MAP_FAILED) sys_fail("mmap(reserve)");
+    std::size_t at = 0;
+    for (const auto& r : runs) {
+      void* want = static_cast<std::byte*>(base) + at;
+      void* got = mmap(want, r.length, PROT_READ | PROT_WRITE,
+                       MAP_SHARED | MAP_FIXED, file_->fd(),
+                       static_cast<off_t>(r.offset));
+      if (got == MAP_FAILED) {
+        munmap(base, total_);
+        sys_fail("mmap(MAP_FIXED segment)");
+      }
+      at += r.length;
     }
-    at += s.length;
   }
   v.base_ = static_cast<std::byte*>(base);
   v.size_ = total_;

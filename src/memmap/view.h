@@ -50,8 +50,9 @@ class View {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool valid() const { return base_ != nullptr; }
 
-  /// Number of distinct mmap segments stitched into this view (counts
-  /// against the kernel's vm.max_map_count budget).
+  /// Number of logical segments stitched into this view, as added (at most
+  /// its share of the kernel's vm.max_map_count budget: segments whose file
+  /// ranges continue the one before share a single mapping).
   [[nodiscard]] std::int64_t segments() const { return segments_; }
 
   /// Where each stitched segment came from — (offset within this view,
@@ -88,8 +89,10 @@ class ViewBuilder {
   /// Total bytes queued so far.
   [[nodiscard]] std::size_t total() const { return total_; }
 
-  /// Reserve one contiguous virtual range and MAP_FIXED each segment into
-  /// it. Throws brickx::Error on any mmap failure (e.g. vm.max_map_count).
+  /// Map the segments into one contiguous virtual range, one mmap per run
+  /// of segments whose file ranges touch (a single run needs no reserved
+  /// range). Throws brickx::Error on any mmap failure (e.g.
+  /// vm.max_map_count).
   [[nodiscard]] View build() const;
 
  private:

@@ -83,13 +83,13 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
   Envelope env;
   env.src = rank_;
   env.tag = tag;
-  env.data.resize(bytes);
   if (flat != nullptr) {
     // The datatype engine packs internally: real copies, and the virtual
     // clock is charged per block plus copy bandwidth — the MPI_Types cost
     // profile the paper measures.
     obs::ObsSpan dt_span(obs::Cat::DtPack, "dt_gather");
     const FlatType& ft = *flat;
+    env.data.resize(bytes);
     ft.gather(static_cast<const std::byte*>(buf), env.data.data());
     clock_.advance(static_cast<double>(ft.blocks.size()) *
                        m.dt_block_overhead +
@@ -97,7 +97,10 @@ Request Comm::isend_impl(const void* buf, std::size_t bytes,
     counters_.dt_blocks += static_cast<std::int64_t>(ft.blocks.size());
     counters_.dt_pack_bytes += static_cast<std::int64_t>(bytes);
   } else if (bytes > 0) {
-    std::memcpy(env.data.data(), buf, bytes);
+    // One pass: the payload is built from the source, never zero-filled
+    // first.
+    const auto* src = static_cast<const std::byte*>(buf);
+    env.data.assign(src, src + bytes);
   }
   // Unified-memory buffers may need page migration to be readable by the
   // NIC/host; the gpusim hook charges it. Datatype sends touch each
@@ -775,16 +778,10 @@ void Comm::recv(void* buf, std::size_t bytes, int src, int tag) {
 }
 
 // ---------------------------------------------------------------------------
-// Collectives: a generation-counted rendezvous that snapshots all ranks'
-// contributions. The last arriver copies the slots so late wakers are immune
-// to the next collective overwriting them.
+// Collectives: one generation-counted rendezvous per collective gathers every
+// rank's value and clock. The last arriver snapshots the slots, so ranks
+// still waking are immune to the next collective overwriting them.
 // ---------------------------------------------------------------------------
-
-namespace {
-struct CollResult {
-  std::vector<double> snapshot;
-};
-}  // namespace
 
 std::vector<double> Comm::allgather(double v) {
   obs::ObsSpan span(obs::Cat::Collective, "allgather");
@@ -794,33 +791,15 @@ std::vector<double> Comm::allgather(double v) {
   // staged before the collective has sealed — so the fabric epoch() really
   // closes over all of the round's flows.
   commit_point();
-  // First round: gather values. Second round: synchronize clocks.
-  auto gather = [this](double x) {
-    std::unique_lock lk(rt_->coll_mu_);
-    const std::int64_t gen = rt_->coll_generation_;
-    rt_->coll_slots_[static_cast<std::size_t>(rank_)] = x;
-    if (++rt_->coll_arrived_ == rt_->nranks_) {
-      // Every other rank is parked in the wait below: a globally quiescent
-      // point, so the fabric can close its contention round race-free.
-      rt_->fabric_->epoch();
-      rt_->coll_snapshot_ = rt_->coll_slots_;
-      rt_->coll_arrived_ = 0;
-      ++rt_->coll_generation_;
-      rt_->coll_cv_.notify_all();
-    } else {
-      rt_->coll_cv_.wait(lk, [&] {
-        return rt_->coll_generation_ != gen || rt_->abort_.load();
-      });
-      if (rt_->abort_.load() && rt_->coll_generation_ == gen)
-        throw AbortedError("collective aborted: another rank failed");
-    }
-    return rt_->coll_snapshot_;
-  };
-
-  std::vector<double> values = gather(v);
-  std::vector<double> times = gather(clock_.now());
+  const std::vector<std::pair<double, double>> slots =
+      rt_->rendezvous(rank_, v, clock_.now());
+  std::vector<double> values;
+  values.reserve(slots.size());
   double tmax = 0.0;
-  for (double t : times) tmax = std::max(tmax, t);
+  for (const auto& [x, t] : slots) {
+    values.push_back(x);
+    tmax = std::max(tmax, t);
+  }
   const double stages =
       std::ceil(std::log2(static_cast<double>(std::max(2, size_))));
   clock_.advance_to(tmax + rt_->model_.barrier_alpha * stages);
@@ -862,8 +841,10 @@ Runtime::Runtime(int nranks, NetModel model)
   BX_CHECK(nranks >= 1, "Runtime needs at least one rank");
   fabric_ = netsim::make_flat_fabric(nranks, model_.ranks_per_node);
   mailboxes_.reserve(static_cast<std::size_t>(nranks));
-  for (int i = 0; i < nranks; ++i)
+  for (int i = 0; i < nranks; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
+    mailboxes_.back()->from.resize(static_cast<std::size_t>(nranks));
+  }
   coll_slots_.resize(static_cast<std::size_t>(nranks));
   final_vtimes_.resize(static_cast<std::size_t>(nranks), 0.0);
   final_counters_.resize(static_cast<std::size_t>(nranks));
@@ -1033,6 +1014,15 @@ void Runtime::drain_pending_flows(int rank) {
 
 void Runtime::run(const std::function<void(Comm&)>& body) {
   abort_.store(false);
+  live_.store(nranks_);
+  running_.store(nranks_);
+  deadlock_ = nullptr;
+  coll_generation_.store(0);
+  coll_arrived_ = 0;
+  for (auto& mb : mailboxes_) {
+    mb->parked = false;
+    mb->tally = ParkTally{};
+  }
   fabric_->reset();
   transport_run_begin();
   std::vector<std::thread> threads;
@@ -1057,18 +1047,14 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
         transport_finalize(r);
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
-        abort_.store(true);
-        for (auto& mb : mailboxes_) {
-          std::lock_guard lk(mb->mu);
-          mb->cv.notify_all();
-        }
-        {
-          std::lock_guard lk(coll_mu_);
-          coll_cv_.notify_all();
-        }
+        abort_run();
       }
       final_vtimes_[static_cast<std::size_t>(r)] = comm.clock().now();
       final_counters_[static_cast<std::size_t>(r)] = comm.counters();
+      // This rank's deliveries are done. If it was the last one running,
+      // whoever it leaves parked waits forever.
+      live_.fetch_sub(1);
+      if (running_.fetch_sub(1) == 1 && live_.load() > 0) deadlocked();
     });
   }
   for (auto& t : threads) t.join();
@@ -1076,28 +1062,25 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
   // still parked; append them now that the logs have no writers.
   if (agg_ != nullptr && !abort_.load())
     for (int r = 0; r < nranks_; ++r) drain_pending_flows(r);
-  // Leftover state from an aborted job must not leak into the next run().
-  if (abort_.load()) {
-    for (auto& mb : mailboxes_) {
-      std::lock_guard lk(mb->mu);
-      mb->queue.clear();
-    }
-    std::lock_guard lk(coll_mu_);
-    coll_arrived_ = 0;
-  } else if (fault_ != nullptr) {
-    // Sweep undelivered envelopes (e.g. a Duplicate's replay no receive
-    // ever matched) so the next run starts clean, and account for them:
-    // an unconsumed fault is quarantined, never silently absorbed.
+  // Leftover envelopes of an aborted job must not leak into the next run().
+  // With an injector installed, a clean run's leftovers (e.g. a Duplicate's
+  // replay no receive ever matched) are swept and counted too: an
+  // unconsumed fault is quarantined, never silently absorbed.
+  if (abort_.load() || fault_ != nullptr) {
     std::int64_t left = 0;
     for (auto& mb : mailboxes_) {
       std::lock_guard lk(mb->mu);
-      left += static_cast<std::int64_t>(mb->queue.size());
-      mb->queue.clear();
+      for (auto& lane : mb->from) {
+        left += static_cast<std::int64_t>(lane.size());
+        lane.clear();
+      }
     }
-    if (left > 0) fault_->note_leftover(left);
+    if (!abort_.load() && left > 0) fault_->note_leftover(left);
   }
   // Prefer a primary error: ranks torn down *because* another rank threw
-  // report AbortedError, which must not mask the original diagnosis.
+  // (or the job deadlocked) report AbortedError, which must not mask the
+  // original diagnosis. A rank's own failure outranks the deadlock its
+  // teardown may leave behind.
   std::exception_ptr primary, secondary;
   for (auto& e : errors) {
     if (!e) continue;
@@ -1110,31 +1093,141 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
     }
   }
   if (primary) std::rethrow_exception(primary);
+  if (deadlock_) std::rethrow_exception(deadlock_);
   if (secondary) std::rethrow_exception(secondary);
+}
+
+// ---------------------------------------------------------------------------
+// Parking. A rank blocks only in park(), under its own mailbox lock, with a
+// record of what it waits on. A waker — a delivery whose envelope matches
+// the key, the last arriver of a collective, or an abort — takes it off the
+// parked set before waking it, so `running_` counts exactly the live ranks
+// that can still act. Commit points flush held reorder faults and seal
+// staged frames before every wait, so when running_ reaches 0 nothing is
+// left in flight that could wake anyone: the job is deadlocked.
+// ---------------------------------------------------------------------------
+
+void Runtime::park(int self, std::unique_lock<std::mutex>& lk,
+                   const WaitKey& key) {
+  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(self)];
+  if (abort_.load()) throw AbortedError("wait aborted: the run is failing");
+  mb.wait = key;
+  mb.parked = true;
+  ++mb.tally.parks;
+  if (running_.fetch_sub(1) == 1) {
+    // The last running rank just parked.
+    lk.unlock();
+    deadlocked();
+    lk.lock();
+  }
+  while (mb.parked) {
+    mb.cv.wait(lk);
+    ++mb.tally.wakes;
+    if (mb.parked) ++mb.tally.empty_wakes;
+  }
+}
+
+void Runtime::unpark(Mailbox& mb) {
+  mb.parked = false;
+  running_.fetch_add(1);
+  mb.cv.notify_one();
+}
+
+void Runtime::abort_run() {
+  abort_.store(true);
+  for (auto& mb : mailboxes_) {
+    std::lock_guard lk(mb->mu);
+    if (mb->parked) unpark(*mb);
+  }
+}
+
+void Runtime::deadlocked() {
+  // No rank is running, so no wait can change until abort_run() below.
+  std::string what = "deadlock: every live rank is parked in simmpi";
+  for (std::size_t r = 0; r < mailboxes_.size(); ++r) {
+    Mailbox& mb = *mailboxes_[r];
+    std::lock_guard lk(mb.mu);
+    if (!mb.parked) continue;
+    const WaitKey& k = mb.wait;
+    what += "; rank " + std::to_string(r);
+    if (k.src < 0)
+      what += " waits in collective #" + std::to_string(k.coll);
+    else
+      what += " waits on (src=" + std::to_string(k.src) +
+              ", tag=" + std::to_string(k.tag) +
+              ", part=" + std::to_string(k.part) + ")";
+  }
+  deadlock_ = std::make_exception_ptr(DeadlockError(what));
+  abort_run();
+}
+
+std::vector<std::pair<double, double>> Runtime::rendezvous(int rank, double v,
+                                                           double t) {
+  std::int64_t gen = 0;
+  bool last = false;
+  {
+    std::lock_guard lk(coll_mu_);
+    gen = coll_generation_.load();
+    coll_slots_[static_cast<std::size_t>(rank)] = {v, t};
+    last = ++coll_arrived_ == nranks_;
+    if (last) {
+      // Every other rank has arrived and parks on this ordinal: a globally
+      // quiescent point, so the fabric can close its contention round
+      // race-free.
+      fabric_->epoch();
+      coll_snapshot_ = coll_slots_;
+      coll_arrived_ = 0;
+      coll_generation_.store(gen + 1);
+    }
+  }
+  if (last) {
+    for (int r = 0; r < nranks_; ++r) {
+      Mailbox& mb = *mailboxes_[static_cast<std::size_t>(r)];
+      std::lock_guard lk(mb.mu);
+      if (mb.parked && mb.wait.coll == gen) unpark(mb);
+    }
+  } else {
+    Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
+    std::unique_lock lk(mb.mu);
+    // A rank that reaches its mailbox after the last arriver has passed it
+    // sees the new generation and does not park.
+    if (coll_generation_.load() == gen) park(rank, lk, WaitKey{.coll = gen});
+    if (coll_generation_.load() == gen)
+      throw AbortedError("collective aborted: the run is failing");
+  }
+  std::lock_guard lk(coll_mu_);
+  return coll_snapshot_;
 }
 
 void Runtime::deliver(int dest, Envelope env) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dest)];
   std::lock_guard lk(mb.mu);
-  mb.queue.push_back(std::move(env));
-  mb.cv.notify_all();
+  const WaitKey& k = mb.wait;
+  const bool wakes = mb.parked && k.src == env.src && k.tag == env.tag &&
+                     k.part == env.part;
+  mb.from[static_cast<std::size_t>(env.src)].push_back(std::move(env));
+  if (wakes) unpark(mb);
 }
 
 Envelope Runtime::match(int self, int src, int tag, int part) {
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(self)];
   std::unique_lock lk(mb.mu);
-  while (true) {
-    for (auto it = mb.queue.begin(); it != mb.queue.end(); ++it) {
-      if (it->src == src && it->tag == tag && it->part == part) {
-        Envelope env = std::move(*it);
-        mb.queue.erase(it);
-        return env;
-      }
-    }
-    if (abort_.load())
-      throw AbortedError("receive aborted: another rank failed");
-    mb.cv.wait(lk);
+  std::vector<Envelope>& lane = mb.from[static_cast<std::size_t>(src)];
+  const auto first = [&] {
+    return std::find_if(lane.begin(), lane.end(), [&](const Envelope& e) {
+      return e.tag == tag && e.part == part;
+    });
+  };
+  auto it = first();
+  if (it == lane.end()) {
+    park(self, lk, WaitKey{.src = src, .tag = tag, .part = part});
+    it = first();
+    if (it == lane.end())
+      throw AbortedError("receive aborted: the run is failing");
   }
+  Envelope env = std::move(*it);
+  lane.erase(it);
+  return env;
 }
 
 double Runtime::final_vtime(int rank) const {
@@ -1143,6 +1236,10 @@ double Runtime::final_vtime(int rank) const {
 
 const CommCounters& Runtime::final_counters(int rank) const {
   return final_counters_[static_cast<std::size_t>(rank)];
+}
+
+const ParkTally& Runtime::park_tally(int rank) const {
+  return mailboxes_[static_cast<std::size_t>(rank)]->tally;
 }
 
 }  // namespace brickx::mpi

@@ -4,7 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,6 +39,25 @@ class Comm;
 class AbortedError : public brickx::Error {
  public:
   using brickx::Error::Error;
+};
+
+/// Every live rank of a run is parked inside simmpi (a receive no rank will
+/// send, a collective some rank skipped), so none can ever run again.
+/// Runtime::run throws it instead of hanging, naming what each parked rank
+/// waits on — unless a rank failed on its own, whose error stays primary.
+class DeadlockError : public brickx::Error {
+ public:
+  using brickx::Error::Error;
+};
+
+/// Host-side park/wake tally of one rank over the last Runtime::run: how
+/// often it blocked inside simmpi and how often it woke. It describes the
+/// simulator's host threads, not the modeled job, so it never enters
+/// CommCounters, harness results or any obs artifact.
+struct ParkTally {
+  std::int64_t parks = 0;        ///< times the rank blocked in Runtime::park
+  std::int64_t wakes = 0;        ///< times it woke up while parked
+  std::int64_t empty_wakes = 0;  ///< wakes no waker had released it for
 };
 
 /// Per-rank virtual clock, in seconds. Compute and communication both
@@ -410,7 +429,8 @@ class Runtime {
 
   /// Execute `body(comm)` once on every rank (threads are spawned and
   /// joined inside). Exceptions from any rank are rethrown on the caller
-  /// after all ranks finish or abort.
+  /// after all ranks finish or abort. A run whose live ranks are all
+  /// parked in receives or collectives throws DeadlockError.
   void run(const std::function<void(Comm&)>& body);
 
   [[nodiscard]] const NetModel& net() const { return model_; }
@@ -456,19 +476,54 @@ class Runtime {
   /// counters of rank r.
   [[nodiscard]] double final_vtime(int rank) const;
   [[nodiscard]] const CommCounters& final_counters(int rank) const;
+  /// Rank r's park/wake tally over the most recent run().
+  [[nodiscard]] const ParkTally& park_tally(int rank) const;
 
  private:
   friend class Comm;
   friend class Partitioned;
 
+  /// What a parked rank waits on: the envelope (src, tag, part) of a
+  /// receive, or collective ordinal `coll` (src -1, so no envelope
+  /// matches it).
+  struct WaitKey {
+    int src = -1;
+    int tag = 0;
+    int part = -1;
+    std::int64_t coll = -1;
+  };
+
+  /// One rank's mailbox and parking slot, all guarded by `mu`. Envelopes
+  /// wait in one FIFO per source rank, so a match walks only its sender's
+  /// envelopes and (src, tag, part) order is arrival order.
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<Envelope> queue;
+    std::vector<std::vector<Envelope>> from;  ///< indexed by source rank
+    bool parked = false;  ///< blocked in park(); cleared only by a waker
+    WaitKey wait;         ///< what it is parked on
+    ParkTally tally;
   };
 
   void deliver(int dest, Envelope env);
   Envelope match(int self, int src, int tag, int part = -1);
+  /// The one place a rank blocks: records `key` as what `self` waits on and
+  /// sleeps until a waker unparks it. `lk` holds self's mailbox lock.
+  /// Throws AbortedError instead once the run is aborting.
+  void park(int self, std::unique_lock<std::mutex>& lk, const WaitKey& key);
+  /// Waker side, under the parked rank's mailbox lock: take it off the
+  /// parked set (the waker does this, so a pending wake-up never reads as a
+  /// deadlock) and wake it.
+  void unpark(Mailbox& mb);
+  /// Abort the run: parking now throws, and every parked rank wakes.
+  void abort_run();
+  /// Called by whichever rank left no other rank running while some are
+  /// parked: record the DeadlockError naming every wait, then abort.
+  void deadlocked();
+  /// Collective rendezvous: publish (v, t) in rank's slot, park until every
+  /// rank has, and return all ranks' pairs in rank order.
+  std::vector<std::pair<double, double>> rendezvous(int rank, double v,
+                                                    double t);
 
   // Transport tier internals (comm.cc). AggState owns the node-leader
   // aggregator; it is rebuilt at the start of every ShmAgg run so aborted
@@ -501,21 +556,28 @@ class Runtime {
   std::unique_ptr<netsim::Fabric> fabric_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
-  // Collective scratch (barrier generation protocol in comm.cc).
+  // Collective state (rendezvous protocol in comm.cc). The generation is
+  // the ordinal of the collective in progress; written under coll_mu_,
+  // read by parking ranks under their own mailbox lock.
   std::mutex coll_mu_;
-  std::condition_variable coll_cv_;
-  std::int64_t coll_generation_ = 0;
+  std::atomic<std::int64_t> coll_generation_{0};
   int coll_arrived_ = 0;
-  std::vector<double> coll_slots_;
-  std::vector<double> coll_snapshot_;
+  std::vector<std::pair<double, double>> coll_slots_;
+  std::vector<std::pair<double, double>> coll_snapshot_;
 
   std::vector<double> final_vtimes_;
   std::vector<CommCounters> final_counters_;
 
-  /// Set when one of this job's ranks throws, so its other ranks stop
-  /// waiting on matches and collectives that will never complete; per
-  /// runtime, so it never aborts another job in the same process.
+  /// Set when one of this job's ranks throws or the job deadlocks, so its
+  /// other ranks stop waiting on matches and collectives that will never
+  /// complete; per runtime, so it never aborts another job in the process.
   std::atomic<bool> abort_{false};
+  /// Ranks whose body has not finished, and those of them not parked. Only
+  /// a running rank wakes another, so once running_ reaches 0 with live_
+  /// ranks left, none of them can ever run again.
+  std::atomic<int> live_{0};
+  std::atomic<int> running_{0};
+  std::exception_ptr deadlock_;  ///< the DeadlockError, once detected
 
   obs::Collector* collector_ = nullptr;
   FaultInjector* fault_ = nullptr;

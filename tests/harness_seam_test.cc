@@ -21,10 +21,12 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <latch>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -334,6 +336,46 @@ TEST_P(HarnessSeam, EveryResultFieldIsBitExact) {
 
 INSTANTIATE_TEST_SUITE_P(Roster, HarnessSeam, ::testing::ValuesIn(roster()),
                          [](const auto& info) { return info.param.name; });
+
+// The tuner evaluates candidates with harness::run on a pool of worker
+// threads. Four runs at once, one failing on a corrupting fault schedule:
+// the failure stays inside its own run and is diagnosed, and the other three
+// reproduce their solo Results bit for bit.
+TEST(ConcurrentRuns, AFaultedRunDisturbsNoOther) {
+  std::vector<Config> clean = {base(Method::Layout), base(Method::MemMap),
+                               base(Method::Basic)};
+  clean[2].overlap = true;
+  Config faulted = base(Method::Layout);
+  faulted.faults.corrupt = 1.0;
+  faulted.faults.seed = 3;
+  std::vector<Fingerprint> solo;
+  for (const Config& c : clean) solo.push_back(fingerprint(run(c)));
+
+  std::vector<Fingerprint> pooled(clean.size());
+  std::vector<std::string> errors(clean.size() + 1);
+  std::latch start(static_cast<std::ptrdiff_t>(errors.size()));
+  auto worker = [&](std::size_t i) {
+    start.arrive_and_wait();
+    try {
+      if (i < clean.size())
+        pooled[i] = fingerprint(run(clean[i]));
+      else
+        (void)run(faulted);
+    } catch (const std::exception& e) {
+      errors[i] = e.what();
+    }
+  };
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < errors.size(); ++i) pool.emplace_back(worker, i);
+  for (std::thread& t : pool) t.join();
+
+  EXPECT_NE(errors.back().find("fault detected:"), std::string::npos)
+      << "faulted run: " << errors.back();
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(errors[i], "") << method_name(clean[i].method);
+    EXPECT_EQ(pooled[i], solo[i]) << method_name(clean[i].method);
+  }
+}
 
 // The runtime builder (which the DiffOracle also builds through) places
 // ranks over the real exchange graph: on a 4x4x4 dragonfly with 4 ranks per

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/error.h"
 #include "memmap/mem_file.h"
@@ -123,6 +124,55 @@ TEST(View, SegmentAccountingBalances) {
     EXPECT_EQ(live_view_segments(), before + 3);
   }
   EXPECT_EQ(live_view_segments(), before);
+}
+
+// Segments whose file ranges continue the one before share one mmap. A view
+// that mixes such runs with jumps, and one that is a single run starting
+// mid-file, must each alias the canonical mapping byte for byte in both
+// directions and still report every logical segment.
+TEST(View, FileContiguousRunsAliasAndCountLogicalSegments) {
+  const std::size_t ps = host_page_size();
+  MemFile f(16 * ps);
+  Mapping canon(f);
+  struct Seg {
+    std::size_t page, pages;
+  };
+  const std::vector<std::vector<Seg>> views = {
+      {{2, 1}, {3, 2}, {5, 1}, {9, 1}, {10, 1}, {0, 1}, {1, 1}, {7, 1}},
+      {{4, 1}, {5, 3}, {8, 1}, {9, 2}},
+  };
+  for (const auto& segs : views) {
+    for (std::size_t i = 0; i < 16 * ps; ++i)
+      canon.data()[i] = static_cast<std::byte>(i * 131 + i / ps);
+    const std::int64_t before = live_view_segments();
+    const auto n = static_cast<std::int64_t>(segs.size());
+    ViewBuilder b(f);
+    for (const Seg& s : segs) b.add(s.page * ps, s.pages * ps);
+    {
+      View v = b.build();
+      EXPECT_EQ(v.segments(), n);
+      EXPECT_EQ(live_view_segments(), before + n);
+      ASSERT_EQ(v.segment_map().size(), segs.size());
+      std::size_t at = 0;
+      for (std::size_t k = 0; k < segs.size(); ++k) {
+        const std::size_t off = segs[k].page * ps, len = segs[k].pages * ps;
+        const View::SegmentInfo& si = v.segment_map()[k];
+        EXPECT_EQ(si.view_offset, at);
+        EXPECT_EQ(si.file_offset, off);
+        EXPECT_EQ(si.length, len);
+        EXPECT_EQ(std::memcmp(v.data() + at, canon.data() + off, len), 0)
+            << "segment " << k;
+        // A write through the view lands in the canonical pages.
+        for (std::size_t i = 0; i < len; i += 97)
+          v.data()[at + i] = static_cast<std::byte>(k + i);
+        EXPECT_EQ(std::memcmp(v.data() + at, canon.data() + off, len), 0)
+            << "segment " << k;
+        at += len;
+      }
+      EXPECT_EQ(at, v.size());
+    }
+    EXPECT_EQ(live_view_segments(), before);
+  }
 }
 
 TEST(View, ManySegmentsStressWithinMapLimit) {

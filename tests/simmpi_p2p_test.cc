@@ -85,6 +85,43 @@ TEST(P2P, FifoPerSameTag) {
   });
 }
 
+TEST(P2P, InterleavedSourcesTagsAndPartitionsKeepPerKeyOrder) {
+  // Three senders interleave two tags and, midway, the two partitions of a
+  // partitioned message on tag 0 (partition 1 first). Rank 0 drains the
+  // sources and tags in reverse: every (src, tag, part) stream comes out
+  // FIFO, and bulk receives on tag 0 never take a partition.
+  constexpr int kN = 12;
+  Runtime rt(4, quiet());
+  rt.run([](Comm& c) {
+    std::vector<int> parts = {c.rank() * 100 + 1, c.rank() * 100 + 2};
+    if (c.rank() != 0) {
+      Partitioned ps = c.psend_init(parts.data(), sizeof(int) * 2, 0, 0, 2);
+      ps.start();
+      for (int i = 0; i < kN; ++i) {
+        const int v = c.rank() * 1000 + i;
+        c.send(&v, sizeof v, 0, i % 2);
+        if (i == kN / 2) ps.pready(1);
+        if (i == kN / 2 + 1) ps.pready(0);
+      }
+      ps.wait();
+      return;
+    }
+    for (int src = 3; src >= 1; --src) {
+      Partitioned pr = c.precv_init(parts.data(), sizeof(int) * 2, src, 0, 2);
+      pr.start();
+      for (int tag = 1; tag >= 0; --tag)
+        for (int i = tag; i < kN; i += 2) {
+          int v = -1;
+          c.recv(&v, sizeof v, src, tag);
+          EXPECT_EQ(v, src * 1000 + i) << "src " << src << " tag " << tag;
+        }
+      pr.wait();
+      EXPECT_EQ(parts[0], src * 100 + 1);
+      EXPECT_EQ(parts[1], src * 100 + 2);
+    }
+  });
+}
+
 TEST(P2P, WaitallCompletesMixedRequests) {
   Runtime rt(2, quiet());
   rt.run([](Comm& c) {
